@@ -81,16 +81,10 @@ size_t RunJoin(exec::Operator* op) {
   Catalog catalog;
   exec::ExecContext ctx(&storage, &catalog);
   if (!op->Open(&ctx).ok()) std::exit(1);
-  size_t n = 0;
-  Row row;
-  while (true) {
-    Result<bool> more = op->Next(&row);
-    if (!more.ok()) std::exit(1);
-    if (!*more) break;
-    ++n;
-  }
+  Result<std::vector<Row>> rows = exec::DrainOperator(op);
   op->Close();
-  return n;
+  if (!rows.ok()) std::exit(1);
+  return rows->size();
 }
 
 void PartA() {

@@ -480,7 +480,7 @@ Result<ResultSet> Database::RunSet(const ast::SetStatement& stmt) {
       return Status::SemanticError("PARALLELISM must be >= 0");
     }
     size_t n = stmt.is_default || stmt.value == 0
-                   ? exec::Executor::Options::DefaultParallelism()
+                   ? exec::ExecOptions::DefaultParallelism()
                    : static_cast<size_t>(stmt.value);
     options_.exec.parallelism = n;
     return ResultSet::Message("SET PARALLELISM = " + std::to_string(n));
@@ -489,7 +489,7 @@ Result<ResultSet> Database::RunSet(const ast::SetStatement& stmt) {
     if (!stmt.is_default && stmt.value < 0) {
       return Status::SemanticError("PARALLEL_MIN_ROWS must be >= 0");
     }
-    double rows = stmt.is_default ? exec::Executor::Options{}.parallel_min_rows
+    double rows = stmt.is_default ? exec::ExecOptions{}.parallel_min_rows
                                   : static_cast<double>(stmt.value);
     options_.exec.parallel_min_rows = rows;
     return ResultSet::Message("SET PARALLEL_MIN_ROWS = " +

@@ -81,7 +81,7 @@ class Database {
     bool rewrite_enabled = true;  // Figure 1: "could be bypassed"
     rewrite::RuleEngine::Options rewrite;
     optimizer::Optimizer::Options optimizer;
-    exec::Executor::Options exec;
+    exec::ExecOptions exec;
     /// Collect per-operator runtime stats for every query (EXPLAIN
     /// ANALYZE collects regardless). Costs two clock reads per operator
     /// invocation.

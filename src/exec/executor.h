@@ -2,66 +2,40 @@
 #define STARBURST_EXEC_EXECUTOR_H_
 
 #include "exec/plan_refiner.h"
-#include "optimizer/optimizer.h"
 
 namespace starburst::exec {
 
-/// The Query Evaluation System's front door: refines a chosen plan into
-/// an operator tree and interprets it against the database.
-class Executor {
- public:
-  struct Options {
-    SubqueryCacheMode cache_mode = SubqueryCacheMode::kMemo;
-    double ship_delay_us = 0;
-    bool semi_naive_recursion = true;
-    /// Optional sink for per-operator runtime stats (EXPLAIN ANALYZE).
-    obs::PlanStatsTree* stats = nullptr;
-    /// Worker count for morsel-driven parallel execution (1 = serial).
-    /// Defaults to the hardware concurrency; SET PARALLELISM overrides.
-    size_t parallelism = DefaultParallelism();
-    /// Minimum estimated scanned rows before a subtree is parallelized.
-    double parallel_min_rows = 1024;
-    /// Rows per NextBatch call (SET BATCH_SIZE; 1 pins exact
-    /// row-at-a-time behavior for differential testing).
-    size_t batch_size = RowBatch::kDefaultCapacity;
-    /// Per-operator build budgets (bytes, 0 = unlimited): past them a
-    /// sort cuts spilled runs and an aggregation/DISTINCT grace-
-    /// partitions new keys to temp storage (SET SORT_MEMORY /
-    /// SET AGG_MEMORY).
-    uint64_t sort_memory_bytes = 0;
-    uint64_t agg_memory_bytes = 0;
-    /// Query-wide cap over every governed operator's sum
-    /// (SET QUERY_MEMORY; 0 = unlimited).
-    uint64_t query_memory_bytes = 0;
-    /// Compile expression sites to column-at-a-time kernel programs
-    /// (SET VECTORIZE; 0 pins the row-at-a-time interpreter, the
-    /// differential-testing reference).
-    bool vectorize = true;
+/// Session-level settings for the Query Evaluation System: how a chosen
+/// plan is refined into an operator tree and how that tree runs. The
+/// `SET` knobs write these; Database hands them to the PlanRefiner and
+/// the ExecContext of every execution.
+struct ExecOptions {
+  SubqueryCacheMode cache_mode = SubqueryCacheMode::kMemo;
+  double ship_delay_us = 0;
+  bool semi_naive_recursion = true;
+  /// Worker count for morsel-driven parallel execution (1 = serial).
+  /// Defaults to the hardware concurrency; SET PARALLELISM overrides.
+  size_t parallelism = DefaultParallelism();
+  /// Minimum estimated scanned rows before a subtree is parallelized.
+  double parallel_min_rows = 1024;
+  /// Rows per NextBatch call (SET BATCH_SIZE; 1 pins exact
+  /// row-at-a-time behavior for differential testing).
+  size_t batch_size = RowBatch::kDefaultCapacity;
+  /// Per-operator build budgets (bytes, 0 = unlimited): past them a
+  /// sort cuts spilled runs and an aggregation/DISTINCT grace-
+  /// partitions new keys to temp storage (SET SORT_MEMORY /
+  /// SET AGG_MEMORY).
+  uint64_t sort_memory_bytes = 0;
+  uint64_t agg_memory_bytes = 0;
+  /// Query-wide cap over every governed operator's sum
+  /// (SET QUERY_MEMORY; 0 = unlimited).
+  uint64_t query_memory_bytes = 0;
+  /// Compile expression sites to column-at-a-time kernel programs
+  /// (SET VECTORIZE; 0 pins the row-at-a-time interpreter, the
+  /// differential-testing reference).
+  bool vectorize = true;
 
-    static size_t DefaultParallelism();
-  };
-
-  Executor(StorageEngine* storage, const Catalog* catalog)
-      : storage_(storage), catalog_(catalog) {}
-
-  /// Runs the plan to completion, honouring the query-level LIMIT
-  /// recorded in the graph. `optimizer` supplies the per-box plans for
-  /// correlated subquery runtimes.
-  Result<std::vector<Row>> Execute(const optimizer::PlanPtr& plan,
-                                   const optimizer::Optimizer& optimizer,
-                                   const qgm::Graph& graph);
-  Result<std::vector<Row>> Execute(const optimizer::PlanPtr& plan,
-                                   const optimizer::Optimizer& optimizer,
-                                   const qgm::Graph& graph,
-                                   const Options& options);
-
-  /// Stats from the most recent Execute.
-  const ExecStats& last_stats() const { return last_stats_; }
-
- private:
-  StorageEngine* storage_;
-  const Catalog* catalog_;
-  ExecStats last_stats_;
+  static size_t DefaultParallelism();
 };
 
 }  // namespace starburst::exec

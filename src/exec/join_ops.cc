@@ -40,64 +40,65 @@ class NlJoinOp : public Operator {
   Status OpenImpl(ExecContext* ctx) override {
     ctx_ = ctx;
     STARBURST_RETURN_IF_ERROR(outer_->Open(ctx));
+    outer_batch_.Reset(ctx->batch_size());
+    outer_pos_ = 0;
+    inner_batch_.Reset(ctx->batch_size());
+    // A verdict may stop at any inner row, so those kinds pull the inner a
+    // row per call: they read exactly the inner rows the verdict needs.
+    if (IsVerdictKind()) inner_batch_.set_fill_limit(1);
     have_outer_ = false;
     inner_open_ = false;
     return Status::OK();
   }
 
-  Result<bool> NextImpl(Row* row) override {
-    // Verdict-per-outer-row kinds buffer nothing: each outer row is fully
-    // decided against the inner stream before the next is fetched.
-    while (true) {
+  /// Takes the outer a batch at a time and re-opens the inner per outer
+  /// row. Verdict and scalar kinds decide each outer row outright; the
+  /// streaming kinds (regular, left outer) suspend mid-inner when `out`
+  /// fills and resume from the same inner row on the next call.
+  Result<bool> NextBatchImpl(RowBatch* out) override {
+    while (!out->full()) {
       if (!have_outer_) {
-        STARBURST_ASSIGN_OR_RETURN(bool more, outer_->Next(&outer_row_));
-        if (!more) return false;
-        have_outer_ = true;
+        if (outer_pos_ >= outer_batch_.size()) {
+          // Pull no more outer rows than `out` has room for: each may
+          // yield a row, and a LIMIT above a dependent join must not
+          // re-open the inner for outer rows it will never emit.
+          outer_batch_.set_fill_limit(out->remaining());
+          STARBURST_ASSIGN_OR_RETURN(bool more,
+                                     outer_->NextBatch(&outer_batch_));
+          if (!more) break;
+          outer_pos_ = 0;
+        }
+        cur_outer_ = &outer_batch_.row(outer_pos_++);
         STARBURST_RETURN_IF_ERROR(ReopenInner());
-        switch (spec_.kind) {
-          case JoinKind::kExists:
-          case JoinKind::kAnti:
-          case JoinKind::kOpAll:
-          case JoinKind::kSetPred: {
-            STARBURST_ASSIGN_OR_RETURN(bool verdict, DecideOuter());
-            have_outer_ = false;
-            if (verdict) {
-              *row = outer_row_;
-              return true;
-            }
-            continue;
-          }
-          case JoinKind::kScalar: {
-            STARBURST_ASSIGN_OR_RETURN(Row out, ScalarJoinRow());
-            have_outer_ = false;
-            *row = std::move(out);
-            return true;
-          }
-          default:
-            matched_ = false;
-            break;
+        if (IsVerdictKind()) {
+          STARBURST_ASSIGN_OR_RETURN(bool verdict, DecideOuter());
+          if (verdict) out->Append(*cur_outer_);
+          continue;
         }
-      }
-      // kRegular / kLeftOuter: stream matches lazily.
-      Row inner_row;
-      while (true) {
-        STARBURST_ASSIGN_OR_RETURN(bool more, inner_->Next(&inner_row));
-        if (!more) break;
-        Row joined = ConcatRows(outer_row_, inner_row);
-        STARBURST_ASSIGN_OR_RETURN(bool pass, PredsPass(spec_, joined, ctx_));
-        if (pass) {
-          matched_ = true;
-          *row = std::move(joined);
-          return true;
+        if (spec_.kind == JoinKind::kScalar) {
+          STARBURST_ASSIGN_OR_RETURN(Row joined, ScalarJoinRow());
+          out->Append(std::move(joined));
+          continue;
         }
+        have_outer_ = true;
+        matched_ = false;
       }
-      bool emit_unmatched = spec_.kind == JoinKind::kLeftOuter && !matched_;
-      have_outer_ = false;
-      if (emit_unmatched) {
-        *row = NullPad(outer_row_, spec_.inner_width);
-        return true;
+      STARBURST_ASSIGN_OR_RETURN(const Row* inner_row, NextInner());
+      if (inner_row == nullptr) {
+        if (spec_.kind == JoinKind::kLeftOuter && !matched_) {
+          out->Append(NullPad(*cur_outer_, spec_.inner_width));
+        }
+        have_outer_ = false;
+        continue;
+      }
+      Row joined = ConcatRows(*cur_outer_, *inner_row);
+      STARBURST_ASSIGN_OR_RETURN(bool pass, PredsPass(spec_, joined, ctx_));
+      if (pass) {
+        matched_ = true;
+        out->Append(std::move(joined));
       }
     }
+    return !out->empty();
   }
 
   void CloseImpl() override {
@@ -113,6 +114,18 @@ class NlJoinOp : public Operator {
   }
 
  private:
+  bool IsVerdictKind() const {
+    switch (spec_.kind) {
+      case JoinKind::kExists:
+      case JoinKind::kAnti:
+      case JoinKind::kOpAll:
+      case JoinKind::kSetPred:
+        return true;
+      default:
+        return false;
+    }
+  }
+
   Status ReopenInner() {
     if (inner_open_) inner_->Close();
     if (params_pushed_) {
@@ -124,7 +137,7 @@ class NlJoinOp : public Operator {
       for (const SubqueryRuntime::ParamSource& src : spec_.inner_params) {
         Value v;
         if (src.outer_slot >= 0) {
-          v = outer_row_[static_cast<size_t>(src.outer_slot)];
+          v = (*cur_outer_)[static_cast<size_t>(src.outer_slot)];
         } else {
           STARBURST_ASSIGN_OR_RETURN(v, ctx_->LookupParam(src.q, src.column));
         }
@@ -133,9 +146,22 @@ class NlJoinOp : public Operator {
       ctx_->PushParams(&frame_);
       params_pushed_ = true;
     }
+    inner_batch_.Clear();  // NextInner refills before reading
     STARBURST_RETURN_IF_ERROR(inner_->Open(ctx_));
     inner_open_ = true;
     return Status::OK();
+  }
+
+  /// Next row of the current outer row's inner stream, refilling
+  /// inner_batch_ as needed; null at end of the inner stream. The row
+  /// stays valid until the next call.
+  Result<const Row*> NextInner() {
+    if (inner_pos_ >= inner_batch_.size()) {
+      STARBURST_ASSIGN_OR_RETURN(bool more, inner_->NextBatch(&inner_batch_));
+      if (!more) return static_cast<const Row*>(nullptr);
+      inner_pos_ = 0;
+    }
+    return &inner_batch_.row(inner_pos_++);
   }
 
   /// Exists / anti / op-ALL / set-predicate verdict for the current outer.
@@ -146,14 +172,13 @@ class NlJoinOp : public Operator {
     Value operand;
     if (spec_.quant_operand != nullptr) {
       STARBURST_ASSIGN_OR_RETURN(operand,
-                                 spec_.quant_operand->Eval(outer_row_, ctx_));
+                                 spec_.quant_operand->Eval(*cur_outer_, ctx_));
     }
     bool any_true = false, any_false = false, any_unknown = false;
-    Row inner_row;
     while (true) {
-      STARBURST_ASSIGN_OR_RETURN(bool more, inner_->Next(&inner_row));
-      if (!more) break;
-      Row joined = ConcatRows(outer_row_, inner_row);
+      STARBURST_ASSIGN_OR_RETURN(const Row* inner_row, NextInner());
+      if (inner_row == nullptr) break;
+      Row joined = ConcatRows(*cur_outer_, *inner_row);
       STARBURST_ASSIGN_OR_RETURN(bool pass, PredsPass(spec_, joined, ctx_));
       if (!pass) continue;
       if (spec_.quant_operand == nullptr) {
@@ -164,7 +189,7 @@ class NlJoinOp : public Operator {
         continue;
       }
       STARBURST_ASSIGN_OR_RETURN(
-          Value cmp, EvalBinaryValues(spec_.cmp_op, operand, inner_row[0]));
+          Value cmp, EvalBinaryValues(spec_.cmp_op, operand, (*inner_row)[0]));
       bool truth = !cmp.is_null() && cmp.bool_value();
       if (cmp.is_null()) any_unknown = true;
       if (truth) any_true = true;
@@ -193,12 +218,12 @@ class NlJoinOp : public Operator {
   }
 
   Result<Row> ScalarJoinRow() {
-    Row inner_row, match;
+    Row match;
     size_t matches = 0;
     while (true) {
-      STARBURST_ASSIGN_OR_RETURN(bool more, inner_->Next(&inner_row));
-      if (!more) break;
-      Row joined = ConcatRows(outer_row_, inner_row);
+      STARBURST_ASSIGN_OR_RETURN(const Row* inner_row, NextInner());
+      if (inner_row == nullptr) break;
+      Row joined = ConcatRows(*cur_outer_, *inner_row);
       STARBURST_ASSIGN_OR_RETURN(bool pass, PredsPass(spec_, joined, ctx_));
       if (!pass) continue;
       if (++matches > 1) {
@@ -207,15 +232,19 @@ class NlJoinOp : public Operator {
       }
       match = std::move(joined);
     }
-    if (matches == 0) return NullPad(outer_row_, spec_.inner_width);
+    if (matches == 0) return NullPad(*cur_outer_, spec_.inner_width);
     return match;
   }
 
   OperatorPtr outer_, inner_;
   JoinSpec spec_;
   ExecContext* ctx_ = nullptr;
-  Row outer_row_;
-  bool have_outer_ = false;
+  RowBatch outer_batch_;
+  size_t outer_pos_ = 0;            // next unconsumed row in outer_batch_
+  const Row* cur_outer_ = nullptr;  // into outer_batch_; stable until refill
+  RowBatch inner_batch_;            // the current outer row's inner stream
+  size_t inner_pos_ = 0;            // next unconsumed row in inner_batch_
+  bool have_outer_ = false;  // streaming kinds: cur_outer_'s inner is mid-way
   bool inner_open_ = false;
   bool matched_ = false;
   ExecContext::ParamFrame frame_;
@@ -288,72 +317,8 @@ class HashJoinOp : public Operator {
     return Status::OK();
   }
 
-  Result<bool> NextImpl(Row* row) override {
-    while (true) {
-      if (!have_outer_) {
-        STARBURST_ASSIGN_OR_RETURN(bool more, outer_->Next(&outer_row_));
-        if (!more) return false;
-        have_outer_ = true;
-        matched_ = false;
-        bucket_ = nullptr;
-        bucket_pos_ = 0;
-        bool has_null = probe_gather_.Gather(outer_row_, &probe_key_);
-        if (!has_null) {
-          // A NULL outer key probes nothing: kRegular/kExists drop the
-          // row, kLeftOuter null-pads it, and kAnti emits it (NOT EXISTS
-          // never matches on NULL) via the bucket-exhausted path below.
-          if (shared_ != nullptr) {
-            bucket_ = shared_->Probe(probe_key_);
-          } else {
-            auto it = table_.find(probe_key_);
-            if (it != table_.end()) bucket_ = &it->second;
-          }
-        }
-      }
-      // Walk the bucket.
-      while (bucket_ != nullptr && bucket_pos_ < bucket_->size()) {
-        Row joined = ConcatRows(outer_row_, (*bucket_)[bucket_pos_++]);
-        STARBURST_ASSIGN_OR_RETURN(bool pass, PredsPass(spec_, joined, ctx_));
-        if (!pass) continue;
-        matched_ = true;
-        switch (spec_.kind) {
-          case JoinKind::kRegular:
-          case JoinKind::kLeftOuter:
-            *row = std::move(joined);
-            return true;
-          case JoinKind::kExists:
-            have_outer_ = false;
-            *row = outer_row_;
-            return true;
-          case JoinKind::kAnti:
-            have_outer_ = false;  // matched: rejected
-            goto next_outer;
-          default:
-            return Status::Internal("unsupported hash join kind");
-        }
-      }
-      // Bucket exhausted.
-      {
-        bool was_matched = matched_;
-        have_outer_ = false;
-        if (spec_.kind == JoinKind::kLeftOuter && !was_matched) {
-          *row = NullPad(outer_row_, spec_.inner_width);
-          return true;
-        }
-        if (spec_.kind == JoinKind::kAnti && !was_matched) {
-          *row = outer_row_;
-          return true;
-        }
-      }
-    next_outer:;
-    }
-  }
-
-  /// Batch-native probe: consumes the outer side batch-at-a-time and
-  /// stages joined rows into the caller's batch, suspending mid-bucket
-  /// when it fills. A consumer drives either Next or NextBatch for the
-  /// lifetime of one Open, never both, so the row- and batch-path cursors
-  /// (outer_row_ vs outer_batch_/cur_outer_) cannot interleave.
+  /// Consumes the outer side batch-at-a-time and stages joined rows into
+  /// the caller's batch, suspending mid-bucket when it fills.
   Result<bool> NextBatchImpl(RowBatch* out) override {
     ScopedParamFold fold;
     for (const CompiledExprPtr& p : spec_.predicates) {
@@ -377,6 +342,9 @@ class HashJoinOp : public Operator {
         // allocation was the cost.
         bool has_null = probe_gather_.Gather(*cur_outer_, &probe_key_);
         if (!has_null) {
+          // A NULL outer key probes nothing: kRegular/kExists drop the
+          // row, kLeftOuter null-pads it, and kAnti emits it (NOT EXISTS
+          // never matches on NULL) via the bucket-exhausted path below.
           if (shared_ != nullptr) {
             bucket_ = shared_->Probe(probe_key_);
           } else {
@@ -452,8 +420,7 @@ class HashJoinOp : public Operator {
   const parallel::SharedHashTable* shared_ = nullptr;
   ExecContext* ctx_ = nullptr;
   std::unordered_map<Row, std::vector<Row>, RowHash> table_;
-  Row outer_row_;
-  RowBatch outer_batch_;          // batch-path outer staging
+  RowBatch outer_batch_;
   size_t outer_pos_ = 0;          // next unconsumed row in outer_batch_
   const Row* cur_outer_ = nullptr;  // into outer_batch_; stable until refill
   bool have_outer_ = false;
@@ -495,40 +462,49 @@ class MergeJoinOp : public Operator {
     inner_rows_ = rows.TakeValue();
     inner_base_ = 0;
     STARBURST_RETURN_IF_ERROR(outer_->Open(ctx));
+    outer_batch_.Reset(ctx->batch_size());
+    outer_pos_ = 0;
     have_outer_ = false;
     return Status::OK();
   }
 
-  Result<bool> NextImpl(Row* row) override {
-    while (true) {
+  /// Takes the outer a batch at a time and walks each outer row's
+  /// equal-key inner group, suspending mid-group when `out` fills.
+  Result<bool> NextBatchImpl(RowBatch* out) override {
+    while (!out->full()) {
       if (!have_outer_) {
-        STARBURST_ASSIGN_OR_RETURN(bool more, outer_->Next(&outer_row_));
-        if (!more) return false;
+        if (outer_pos_ >= outer_batch_.size()) {
+          outer_batch_.set_fill_limit(out->remaining());
+          STARBURST_ASSIGN_OR_RETURN(bool more,
+                                     outer_->NextBatch(&outer_batch_));
+          if (!more) break;
+          outer_pos_ = 0;
+        }
+        cur_outer_ = &outer_batch_.row(outer_pos_++);
         have_outer_ = true;
         matched_ = false;
         AlignInner();
         group_pos_ = inner_base_;
       }
-      while (group_pos_ < group_end_) {
-        Row joined = ConcatRows(outer_row_, inner_rows_[group_pos_++]);
+      if (group_pos_ < group_end_) {
+        Row joined = ConcatRows(*cur_outer_, inner_rows_[group_pos_++]);
         STARBURST_ASSIGN_OR_RETURN(bool pass, PredsPass(spec_, joined, ctx_));
         if (!pass) continue;
         matched_ = true;
         if (spec_.kind == JoinKind::kExists) {
+          out->Append(*cur_outer_);
           have_outer_ = false;
-          *row = outer_row_;
-          return true;
+        } else {
+          out->Append(std::move(joined));
         }
-        *row = std::move(joined);
-        return true;
+        continue;
       }
-      bool was_matched = matched_;
+      if (spec_.kind == JoinKind::kLeftOuter && !matched_) {
+        out->Append(NullPad(*cur_outer_, spec_.inner_width));
+      }
       have_outer_ = false;
-      if (spec_.kind == JoinKind::kLeftOuter && !was_matched) {
-        *row = NullPad(outer_row_, spec_.inner_width);
-        return true;
-      }
     }
+    return !out->empty();
   }
 
   void CloseImpl() override {
@@ -543,15 +519,15 @@ class MergeJoinOp : public Operator {
   void AlignInner() {
     group_end_ = inner_base_;
     for (const auto& [o, i] : keys_) {
-      if (outer_row_[o].is_null()) return;
+      if ((*cur_outer_)[o].is_null()) return;
     }
     while (inner_base_ < inner_rows_.size() &&
-           CompareKeys(inner_rows_[inner_base_], outer_row_) < 0) {
+           CompareKeys(inner_rows_[inner_base_], *cur_outer_) < 0) {
       ++inner_base_;
     }
     group_end_ = inner_base_;
     while (group_end_ < inner_rows_.size() &&
-           CompareKeys(inner_rows_[group_end_], outer_row_) == 0) {
+           CompareKeys(inner_rows_[group_end_], *cur_outer_) == 0) {
       bool inner_null = false;
       for (const auto& [o, i] : keys_) {
         if (inner_rows_[group_end_][i].is_null()) inner_null = true;
@@ -579,7 +555,9 @@ class MergeJoinOp : public Operator {
   ExecContext* ctx_ = nullptr;
   std::vector<Row> inner_rows_;
   size_t inner_base_ = 0, group_pos_ = 0, group_end_ = 0;
-  Row outer_row_;
+  RowBatch outer_batch_;
+  size_t outer_pos_ = 0;            // next unconsumed row in outer_batch_
+  const Row* cur_outer_ = nullptr;  // into outer_batch_; stable until refill
   bool have_outer_ = false;
   bool matched_ = false;
 };

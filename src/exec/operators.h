@@ -42,6 +42,47 @@ OperatorPtr MakeIndexScanOp(const TableDef* table, const IndexDef* index,
                             std::vector<size_t> columns,
                             std::vector<CompiledExprPtr> predicates);
 
+/// Projects `columns` of a full stored row into `out`, reusing the Value
+/// storage `out` already holds (a recycled batch slot).
+inline void ProjectColumnsInto(const Row& full,
+                               const std::vector<size_t>& columns, Row* out) {
+  std::vector<Value>& v = out->values();
+  v.clear();
+  v.reserve(columns.size());
+  for (size_t c : columns) v.push_back(full[c]);
+}
+
+/// The batch refill shared by RID-driven access methods — the B-tree
+/// index scan and DBC attachments such as the spatial R-tree scan.
+/// `next_rid(Rid*)` yields the next candidate RID, and false once the
+/// access path is exhausted (and on every later call). Each refill checks
+/// for cancellation, fetches and projects up to the batch's fill limit of
+/// rows into its slots, then filters them once; a refill whose every row
+/// was rejected is retried. Returns true iff active rows were staged.
+template <typename NextRid>
+Result<bool> FetchRidBatch(ExecContext* ctx, TableStorage* storage,
+                           const std::vector<size_t>& columns,
+                           const std::vector<CompiledExprPtr>& predicates,
+                           NextRid&& next_rid, RowBatch* batch) {
+  while (true) {
+    STARBURST_RETURN_IF_ERROR(ctx->CheckCancel());
+    bool exhausted = false;
+    Rid rid;
+    while (!batch->full()) {
+      if (!next_rid(&rid)) {
+        exhausted = true;
+        break;
+      }
+      STARBURST_ASSIGN_OR_RETURN(Row full, storage->Fetch(rid));
+      ProjectColumnsInto(full, columns, batch->AppendSlot());
+    }
+    STARBURST_RETURN_IF_ERROR(FilterBatch(predicates, batch, ctx));
+    if (!batch->empty()) return true;
+    if (exhausted) return false;
+    batch->Clear();  // every staged row was rejected; refill
+  }
+}
+
 OperatorPtr MakeValuesOp(std::vector<Row> rows);
 
 OperatorPtr MakeFilterOp(OperatorPtr input,

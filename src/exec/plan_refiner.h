@@ -54,7 +54,7 @@ class PlanRefiner {
     /// it is worth parallelizing (thread handoff isn't free). 0 = always.
     double parallel_min_rows = 1024;
     /// Rows a batched operator stages per NextBatch call; the caller
-    /// (Executor / Database) installs this on the ExecContext before
+    /// (Database) installs this on the ExecContext before
     /// opening the refined tree. 1 pins exact row-at-a-time behavior.
     size_t batch_size = RowBatch::kDefaultCapacity;
     /// Build budgets (bytes, 0 = unlimited) handed to the blocking

@@ -54,48 +54,10 @@ class ScanOp : public Operator {
     return Status::OK();
   }
 
-  Result<bool> NextImpl(Row* row) override {
-    Row full;
-    Rid rid;
-    while (true) {
-      if (scan_ == nullptr) {
-        PageNo begin, end;
-        if (morsels_ == nullptr || !morsels_->Claim(&begin, &end)) {
-          return false;
-        }
-        scan_ = storage_->NewRangeScan(begin, end);
-      }
-      STARBURST_ASSIGN_OR_RETURN(bool more, scan_->Next(&full, &rid));
-      if (!more) {
-        if (morsels_ != nullptr) {
-          scan_.reset();  // morsel drained; claim the next one
-          continue;
-        }
-        return false;
-      }
-      bool pass = true;
-      // Predicates run against the *projected* row (slots follow
-      // scan_columns), per §2: functions are invoked "at low levels of
-      // the system" — here, inside the scan's predicate evaluator.
-      Row projected = Project(full);
-      for (const CompiledExprPtr& p : predicates_) {
-        STARBURST_ASSIGN_OR_RETURN(bool ok, p->EvalPredicate(projected, ctx_));
-        if (!ok) {
-          pass = false;
-          break;
-        }
-      }
-      if (!pass) continue;
-      *row = std::move(projected);
-      ++ctx_->stats().rows_emitted;
-      return true;
-    }
-  }
-
-  /// Batch-native path: refills a block of full rows straight from the
-  /// page scan (one page resolution per page, decode into reused row
-  /// storage), projects into the batch's slots, then filters the staged
-  /// batch column-at-a-time (interpreter when the kernels decline).
+  /// Refills a block of full rows straight from the page scan (one page
+  /// resolution per page, decode into reused row storage), projects into
+  /// the batch's slots, then filters the staged batch column-at-a-time
+  /// (interpreter when the kernels decline).
   Result<bool> NextBatchImpl(RowBatch* batch) override {
     if (direct_fill_) return FillBatchDirect(batch);
     if (block_.empty()) {
@@ -136,7 +98,7 @@ class ScanOp : public Operator {
           // sides keep reusable storage (no copies, no allocation).
           slot->values().swap(full.values());
         } else {
-          ProjectInto(full, slot);
+          ProjectColumnsInto(full, columns_, slot);
         }
       }
       STARBURST_RETURN_IF_ERROR(ApplyPredicates(batch));
@@ -216,21 +178,6 @@ class ScanOp : public Operator {
     }
   }
 
-  Row Project(const Row& full) const {
-    std::vector<Value> values;
-    values.reserve(columns_.size());
-    for (size_t c : columns_) values.push_back(full[c]);
-    return Row(std::move(values));
-  }
-
-  /// Projection into a batch slot, reusing the slot's Value storage.
-  void ProjectInto(const Row& full, Row* out) const {
-    std::vector<Value>& v = out->values();
-    v.clear();
-    v.reserve(columns_.size());
-    for (size_t c : columns_) v.push_back(full[c]);
-  }
-
   /// Upper bound on the refill block so a huge SET batch_size cannot
   /// balloon the per-scan row buffer.
   static constexpr size_t kMaxBlock = 1024;
@@ -248,8 +195,8 @@ class ScanOp : public Operator {
   ExecContext* ctx_ = nullptr;
   TableStorage* storage_ = nullptr;
   std::unique_ptr<TableScanIterator> scan_;
-  /// Batched path's refill block: full rows decoded in place, consumed
-  /// through [block_pos_, block_n_).
+  /// Refill block: full rows decoded in place, consumed through
+  /// [block_pos_, block_n_).
   std::vector<Row> block_;
   std::vector<Rid> block_rids_;
   size_t block_pos_ = 0;
@@ -271,6 +218,7 @@ class IndexScanOp : public Operator {
 
   Status OpenImpl(ExecContext* ctx) override {
     ctx_ = ctx;
+    iter_.reset();
     STARBURST_ASSIGN_OR_RETURN(storage_, ctx->storage()->GetTable(table_->name));
     STARBURST_ASSIGN_OR_RETURN(Attachment * attachment,
                                ctx->storage()->GetIndex(index_->name));
@@ -280,7 +228,6 @@ class IndexScanOp : public Operator {
     }
     if (bound_ == nullptr) {
       // Unbounded: walk the whole index in key order.
-      exhausted_ = false;
       iter_ = btree->tree().Scan(nullptr, true, nullptr, true);
       return Status::OK();
     }
@@ -289,12 +236,7 @@ class IndexScanOp : public Operator {
     // possible.
     Row empty;
     STARBURST_ASSIGN_OR_RETURN(Value key, bound_->Eval(empty, ctx));
-    if (key.is_null()) {
-      iter_.reset();
-      exhausted_ = true;  // NULL never matches an index bound
-      return Status::OK();
-    }
-    exhausted_ = false;
+    if (key.is_null()) return Status::OK();  // NULL never matches a bound
     BTreeKey lo{key}, hi{key};
     switch (bound_op_) {
       case ast::BinaryOp::kEq:
@@ -318,33 +260,22 @@ class IndexScanOp : public Operator {
     return Status::OK();
   }
 
-  Result<bool> NextImpl(Row* row) override {
-    if (exhausted_ || iter_ == nullptr) return false;
-    BTreeKey key;
-    Rid rid;
-    while (iter_->Next(&key, &rid)) {
-      // NULL keys sort first but never satisfy a bound comparison; an
-      // unbounded (order-providing) scan must keep them.
-      if (bound_ != nullptr && !key.empty() && key[0].is_null()) continue;
-      STARBURST_ASSIGN_OR_RETURN(Row full, storage_->Fetch(rid));
-      std::vector<Value> values;
-      values.reserve(columns_.size());
-      for (size_t c : columns_) values.push_back(full[c]);
-      Row projected(std::move(values));
-      bool pass = true;
-      for (const CompiledExprPtr& p : predicates_) {
-        STARBURST_ASSIGN_OR_RETURN(bool ok, p->EvalPredicate(projected, ctx_));
-        if (!ok) {
-          pass = false;
-          break;
-        }
+  Result<bool> NextBatchImpl(RowBatch* batch) override {
+    if (iter_ == nullptr) return false;
+    // NULL keys sort first but never satisfy a bound comparison; an
+    // unbounded (order-providing) scan must keep them.
+    auto next_rid = [this](Rid* rid) {
+      BTreeKey key;
+      while (iter_->Next(&key, rid)) {
+        if (bound_ == nullptr || key.empty() || !key[0].is_null()) return true;
       }
-      if (!pass) continue;
-      *row = std::move(projected);
-      ++ctx_->stats().rows_emitted;
-      return true;
-    }
-    return false;
+      return false;
+    };
+    STARBURST_ASSIGN_OR_RETURN(
+        bool more, FetchRidBatch(ctx_, storage_, columns_, predicates_,
+                                 next_rid, batch));
+    if (more) ctx_->stats().rows_emitted += batch->size();
+    return more;
   }
 
   void CloseImpl() override { iter_.reset(); }
@@ -358,8 +289,7 @@ class IndexScanOp : public Operator {
   std::vector<CompiledExprPtr> predicates_;
   ExecContext* ctx_ = nullptr;
   TableStorage* storage_ = nullptr;
-  std::unique_ptr<BTree::Iterator> iter_;
-  bool exhausted_ = false;
+  std::unique_ptr<BTree::Iterator> iter_;  // null: the bound is NULL
 };
 
 class ValuesOp : public Operator {
@@ -370,12 +300,6 @@ class ValuesOp : public Operator {
     ctx_ = ctx;
     pos_ = 0;
     return Status::OK();
-  }
-  Result<bool> NextImpl(Row* row) override {
-    if (pos_ >= rows_.size()) return false;
-    *row = rows_[pos_++];
-    ++ctx_->stats().rows_emitted;
-    return true;
   }
   Result<bool> NextBatchImpl(RowBatch* batch) override {
     size_t before = pos_;
@@ -402,11 +326,6 @@ class IterRefOp : public Operator {
     }
     pos_ = 0;
     return Status::OK();
-  }
-  Result<bool> NextImpl(Row* row) override {
-    if (pos_ >= rows_->size()) return false;
-    *row = (*rows_)[pos_++];
-    return true;
   }
   Result<bool> NextBatchImpl(RowBatch* batch) override {
     return FillBatchFromRows(*rows_, &pos_, batch);

@@ -177,35 +177,30 @@ class ExecContext {
 /// A QES operator (§7): "Each operator takes one or more streams of tuples
 /// as input and produces one or more streams of tuples (usually one) as
 /// output. We implement the concept of streams by lazy evaluation" — the
-/// classic open/next/close protocol, extended batch-at-a-time: NextBatch
-/// is the primary path and moves up to ExecContext::batch_size() tuples
-/// per call. Operators are re-openable: a dependent join re-Opens its
-/// inner stream per outer row under fresh parameters.
-///
-/// Every operator still implements the row protocol (NextImpl); batch-
-/// native operators additionally override NextBatchImpl. The default
-/// NextBatchImpl adapts row-at-a-time operators (subquery runtimes,
-/// recursion, quantified compares) into a batched pipeline by looping
-/// NextImpl — one-directional, so there is no shim recursion and no
-/// operator ever prefetches rows it was not asked for (EXPLAIN ANALYZE
-/// row counts stay exact at any batch size).
+/// classic open/next/close protocol, pulled batch-at-a-time: NextBatch is
+/// the one way to pull tuples and moves up to the batch's fill limit per
+/// call. ExecContext::batch_size() = 1 is the exact row-at-a-time
+/// reference mode. Operators are re-openable: a dependent join re-Opens
+/// its inner stream per outer row under fresh parameters.
 ///
 /// NextBatch contract: the shim clears `batch` before dispatch; the impl
 /// stages up to batch->fill_limit() rows and the call returns true iff at
 /// least one *active* row was produced. false means end of stream with an
 /// empty batch; an impl must never return true with an empty batch (the
-/// driving loops use emptiness to terminate).
+/// driving loops use emptiness to terminate). A consumer that needs only
+/// n more rows (a LIMIT, an EXISTS verdict that may stop at any row)
+/// clamps the fill limit to n and so reads no more than a row-at-a-time
+/// stream would (EXPLAIN ANALYZE row counts stay exact at any batch size).
 ///
-/// The public Open/Next/NextBatch/Close entry points are non-virtual
-/// shims: with no stats sink attached (the default) they forward straight
-/// to the *Impl virtuals at the cost of one branch; with one attached
-/// (EXPLAIN ANALYZE, SessionOptions::collect_op_stats) they also count
-/// invocations, rows, and inclusive wall time. Batched calls amortize the
-/// accounting: one timestamp pair and one next_calls tick per batch,
-/// rows_out += the batch's row count. Subclasses implement OpenImpl/
-/// NextImpl/CloseImpl (and optionally NextBatchImpl) and call their
-/// children through the public protocol, so instrumentation composes
-/// through the whole tree.
+/// The public Open/NextBatch/Close entry points are non-virtual shims:
+/// with no stats sink attached (the default) they forward straight to the
+/// *Impl virtuals at the cost of one branch; with one attached (EXPLAIN
+/// ANALYZE, SessionOptions::collect_op_stats) they also count invocations,
+/// rows, and inclusive wall time — one timestamp pair and one next_calls
+/// tick per batch, rows_out += the batch's row count. Subclasses (built-in
+/// or DBC-written, e.g. the spatial extension's RTREE_SCAN) implement
+/// OpenImpl/NextBatchImpl/CloseImpl and call their children through the
+/// public protocol, so instrumentation composes through the whole tree.
 class Operator {
  public:
   virtual ~Operator() = default;
@@ -213,11 +208,6 @@ class Operator {
   Status Open(ExecContext* ctx) {
     if (stats_ == nullptr) return OpenImpl(ctx);
     return OpenTimed(ctx);
-  }
-  /// Produces the next tuple; false at end of stream.
-  Result<bool> Next(Row* row) {
-    if (stats_ == nullptr) return NextImpl(row);
-    return NextTimed(row);
   }
   /// Produces the next batch of tuples; false at end of stream (with
   /// `batch` left empty). The batch is cleared on entry; its capacity and
@@ -241,11 +231,7 @@ class Operator {
 
  protected:
   virtual Status OpenImpl(ExecContext* ctx) = 0;
-  virtual Result<bool> NextImpl(Row* row) = 0;
-  /// Row-compat adapter: fills `batch` by looping NextImpl. Batch-native
-  /// operators override this; they must still implement NextImpl (used
-  /// by row-at-a-time consumers like dependent nested-loop joins).
-  virtual Result<bool> NextBatchImpl(RowBatch* batch);
+  virtual Result<bool> NextBatchImpl(RowBatch* batch) = 0;
   virtual void CloseImpl() = 0;
 
   /// Spill/memory accounting hooks for blocking operators; no-ops when no
@@ -279,7 +265,6 @@ class Operator {
 
  private:
   Status OpenTimed(ExecContext* ctx);
-  Result<bool> NextTimed(Row* row);
   Result<bool> NextBatchTimed(RowBatch* batch);
   void CloseTimed();
 

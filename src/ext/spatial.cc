@@ -254,26 +254,18 @@ class RTreeScanOp : public exec::Operator {
     return Status::OK();
   }
 
-  Result<bool> NextImpl(Row* row) override {
-    while (pos_ < matches_.size()) {
-      STARBURST_ASSIGN_OR_RETURN(Row full, storage_->Fetch(matches_[pos_++]));
-      std::vector<Value> values;
-      values.reserve(columns_.size());
-      for (size_t c : columns_) values.push_back(full[c]);
-      Row projected(std::move(values));
-      bool pass = true;
-      for (const CompiledExprPtr& p : predicates_) {
-        STARBURST_ASSIGN_OR_RETURN(bool ok, p->EvalPredicate(projected, ctx_));
-        if (!ok) {
-          pass = false;
-          break;
-        }
-      }
-      if (!pass) continue;
-      *row = std::move(projected);
+  /// The one method a DBC-written operator implements beyond Open/Close:
+  /// stage up to the batch's fill limit of rows per call. The R-tree
+  /// answers the window up front; the shared RID refill fetches, projects
+  /// and filters the matches a batch at a time.
+  Result<bool> NextBatchImpl(RowBatch* batch) override {
+    auto next_rid = [this](Rid* rid) {
+      if (pos_ >= matches_.size()) return false;
+      *rid = matches_[pos_++];
       return true;
-    }
-    return false;
+    };
+    return exec::FetchRidBatch(ctx_, storage_, columns_, predicates_,
+                               next_rid, batch);
   }
 
   void CloseImpl() override { matches_.clear(); }

@@ -135,6 +135,16 @@ TEST(RowBatchTest, MoveRowsToHonorsSelectionAndClears) {
 struct CorpusQuery {
   const char* sql;
   bool ordered;  // compare in result order instead of sorted
+  /// LIMIT without ORDER BY: SQL fixes only how many rows come back, not
+  /// which, so only the count and each row's membership in `a` compare.
+  bool any_rows_of_a = false;
+};
+
+// B-tree index scans (table c is indexed on id): an equality bound, and a
+// range bound with a residual predicate filtered per batch.
+const char* const kIndexScanQueries[] = {
+    "SELECT id, g FROM c WHERE id = 417",
+    "SELECT id, g FROM c WHERE id > 985 AND g <> 3",
 };
 
 const CorpusQuery kCorpus[] = {
@@ -147,7 +157,7 @@ const CorpusQuery kCorpus[] = {
     {"SELECT v, COUNT(*), SUM(k) FROM a GROUP BY v", false},
     {"SELECT DISTINCT v FROM a", false},
     {"SELECT k, v FROM a ORDER BY v, k LIMIT 100", true},
-    {"SELECT k FROM a LIMIT 37", false},
+    {"SELECT k FROM a LIMIT 37", false, /*any_rows_of_a=*/true},
     {"SELECT k FROM a WHERE EXISTS "
      "(SELECT 1 FROM b WHERE b.k = a.k AND b.x > 100)",
      false},
@@ -155,6 +165,8 @@ const CorpusQuery kCorpus[] = {
      false},
     {"SELECT k FROM a WHERE k IN (SELECT k FROM b)", false},
     {"SELECT v FROM a UNION SELECT x FROM b", false},
+    {kIndexScanQueries[0], false},
+    {kIndexScanQueries[1], false},
 };
 
 class BatchDifferentialTest : public ::testing::Test {
@@ -181,6 +193,14 @@ class BatchDifferentialTest : public ::testing::Test {
       sql += "(" + key + ", " + std::to_string((i * 104729) % 500) + ")";
     }
     Must(sql);
+    Must("CREATE TABLE c (id INT, g INT)");
+    sql = "INSERT INTO c VALUES ";
+    for (int i = 0; i < 1000; ++i) {
+      if (i > 0) sql += ", ";
+      sql += "(" + std::to_string(i) + ", " + std::to_string(i % 7) + ")";
+    }
+    Must(sql);
+    Must("CREATE INDEX c_id ON c (id)");
     ASSERT_TRUE(db_.AnalyzeAll().ok());
     // Small tables must still parallelize when asked.
     Must("SET parallel_min_rows = 0");
@@ -219,15 +239,29 @@ TEST_F(BatchDifferentialTest, BatchSizesAndParallelismAgree) {
   for (const CorpusQuery& q : kCorpus) {
     reference.push_back(Run(q.sql, q.ordered));
   }
+  std::vector<Row> keys_of_a = Run("SELECT k FROM a", false);
+  auto in_a = [&](const Row& row) {
+    return std::binary_search(
+        keys_of_a.begin(), keys_of_a.end(), row,
+        [](const Row& x, const Row& y) { return x.CompareTotal(y) < 0; });
+  };
   for (size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
     for (size_t parallelism : {size_t{1}, size_t{4}}) {
       if (batch_size == 1 && parallelism == 1) continue;
       SetExec(batch_size, parallelism);
       for (size_t i = 0; i < std::size(kCorpus); ++i) {
         std::vector<Row> got = Run(kCorpus[i].sql, kCorpus[i].ordered);
-        EXPECT_EQ(got, reference[i])
-            << "batch_size=" << batch_size << " parallelism=" << parallelism
-            << "\n  in: " << kCorpus[i].sql;
+        std::string at = "batch_size=" + std::to_string(batch_size) +
+                         " parallelism=" + std::to_string(parallelism) +
+                         "\n  in: " + kCorpus[i].sql;
+        if (!kCorpus[i].any_rows_of_a) {
+          EXPECT_EQ(got, reference[i]) << at;
+          continue;
+        }
+        EXPECT_EQ(got.size(), reference[i].size()) << at;
+        for (const Row& row : got) {
+          EXPECT_TRUE(in_a(row)) << row.ToString() << " not in a; " << at;
+        }
       }
     }
   }
@@ -274,30 +308,43 @@ void CollectActuals(const obs::PlanStatsTree::Node* node,
 
 TEST_F(BatchDifferentialTest, ExplainAnalyzeRowCountsExactAcrossBatchSizes) {
   db_.options().collect_op_stats = true;
-  const std::string q = "SELECT a.k, b.x FROM a, b WHERE a.k = b.k AND a.v < 50";
+  std::vector<std::string> queries = {
+      "SELECT a.k, b.x FROM a, b WHERE a.k = b.k AND a.v < 50"};
+  queries.insert(queries.end(), std::begin(kIndexScanQueries),
+                 std::end(kIndexScanQueries));
+  for (const std::string& q : queries) {
+    SetExec(1, 1);
+    Must(q);
+    std::vector<std::pair<std::string, uint64_t>> rows_ref;
+    std::vector<uint64_t> calls_ref;
+    ASSERT_NE(db_.last_metrics().op_stats, nullptr);
+    ASSERT_FALSE(db_.last_metrics().op_stats->roots().empty());
+    CollectActuals(db_.last_metrics().op_stats->roots()[0], &rows_ref,
+                   &calls_ref);
 
-  SetExec(1, 1);
-  Must(q);
-  std::vector<std::pair<std::string, uint64_t>> rows_ref;
-  std::vector<uint64_t> calls_ref;
-  ASSERT_NE(db_.last_metrics().op_stats, nullptr);
-  ASSERT_FALSE(db_.last_metrics().op_stats->roots().empty());
-  CollectActuals(db_.last_metrics().op_stats->roots()[0], &rows_ref,
-                 &calls_ref);
+    SetExec(1024, 1);
+    Must(q);
+    std::vector<std::pair<std::string, uint64_t>> rows_batched;
+    std::vector<uint64_t> calls_batched;
+    CollectActuals(db_.last_metrics().op_stats->roots()[0], &rows_batched,
+                   &calls_batched);
 
-  SetExec(1024, 1);
-  Must(q);
-  std::vector<std::pair<std::string, uint64_t>> rows_batched;
-  std::vector<uint64_t> calls_batched;
-  CollectActuals(db_.last_metrics().op_stats->roots()[0], &rows_batched,
-                 &calls_batched);
-
-  // Per-operator row counts are EXACT at any batch size; call counts are
-  // amortized (never more calls than the row-at-a-time protocol).
-  EXPECT_EQ(rows_batched, rows_ref);
-  ASSERT_EQ(calls_batched.size(), calls_ref.size());
-  for (size_t i = 0; i < calls_ref.size(); ++i) {
-    EXPECT_LE(calls_batched[i], calls_ref[i]) << rows_ref[i].first;
+    // The index-scan entries must really run ISCAN.
+    if (q.find("FROM c") != std::string::npos) {
+      EXPECT_TRUE(std::any_of(rows_ref.begin(), rows_ref.end(),
+                              [](const auto& op) {
+                                return op.first.find("ISCAN") !=
+                                       std::string::npos;
+                              }))
+          << q;
+    }
+    // Per-operator row counts are EXACT at any batch size; call counts
+    // are amortized (never more calls than at batch size 1).
+    EXPECT_EQ(rows_batched, rows_ref) << q;
+    ASSERT_EQ(calls_batched.size(), calls_ref.size()) << q;
+    for (size_t i = 0; i < calls_ref.size(); ++i) {
+      EXPECT_LE(calls_batched[i], calls_ref[i]) << rows_ref[i].first;
+    }
   }
 }
 

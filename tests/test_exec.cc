@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
+
 #include "engine/database.h"
 #include "exec/operators.h"
 #include "qgm/box.h"
@@ -169,6 +173,47 @@ TEST(EvalBinaryValuesTest, TypeErrorsSurface) {
 // Join kinds × methods (§7's separation)
 // ---------------------------------------------------------------------------
 
+// Batch-size sweep: every NL join kind and every merge-join kind must give
+// the same rows, and every operator the same rows_out, at batch size 1
+// (the row-at-a-time reference), 7 (batches that end mid-inner) and 1024.
+// Duplicate and NULL keys on both sides make a regular join emit several
+// rows per outer row, so the join suspends mid-inner at batch size 7.
+
+std::vector<Row> SweepOuterRows() {
+  std::vector<Row> rows;
+  for (int i = 0; i < 25; ++i) {
+    rows.push_back(R({i % 5 == 4 ? Value::Null() : Value::Int(i % 7)}));
+  }
+  return rows;
+}
+
+std::vector<Row> SweepInnerRows() {
+  std::vector<Row> rows;
+  for (int v : {0, 1, 1, 2, 3, 3, 3, 5, -1, 5, 6}) {
+    rows.push_back(R({v < 0 ? Value::Null() : Value::Int(v)}));
+  }
+  return rows;
+}
+
+/// Decided once two set members match: exercises early termination.
+class AtLeastTwoState : public SetPredicateState {
+ public:
+  void Observe(bool match) override { matches_ += match ? 1 : 0; }
+  bool Decided() const override { return matches_ >= 2; }
+  bool Verdict() const override { return matches_ >= 2; }
+
+ private:
+  int matches_ = 0;
+};
+
+struct SweepResult {
+  std::vector<Row> rows;
+  uint64_t join_rows_out = 0;
+  uint64_t outer_rows_out = 0;
+  uint64_t inner_rows_out = 0;
+  uint64_t inner_opens = 0;
+};
+
 class JoinKindTest : public ExecOpTest {
  protected:
   OperatorPtr Outer() {
@@ -186,6 +231,60 @@ class JoinKindTest : public ExecOpTest {
     spec.predicates.push_back(
         Cmp(ast::BinaryOp::kEq, Slot(0), Slot(1)));  // outer.0 = inner.0
     return spec;
+  }
+
+  using MakeJoin = std::function<OperatorPtr(OperatorPtr, OperatorPtr)>;
+
+  /// Runs `make(outer, inner)` at `batch_size`, recording rows_out of the
+  /// join and of its two direct inputs.
+  SweepResult RunAt(size_t batch_size, OperatorPtr outer, OperatorPtr inner,
+                    const MakeJoin& make) {
+    obs::OperatorStats outer_stats, inner_stats, join_stats;
+    outer->set_stats(&outer_stats);
+    inner->set_stats(&inner_stats);
+    OperatorPtr join = make(std::move(outer), std::move(inner));
+    join->set_stats(&join_stats);
+    ExecContext ctx(&storage_, &catalog_);
+    ctx.set_batch_size(batch_size);
+    EXPECT_TRUE(join->Open(&ctx).ok());
+    Result<std::vector<Row>> rows = exec::DrainOperator(join.get(), batch_size);
+    join->Close();
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    SweepResult r;
+    if (rows.ok()) r.rows = rows.TakeValue();
+    r.join_rows_out = join_stats.rows_out;
+    r.outer_rows_out = outer_stats.rows_out;
+    r.inner_rows_out = inner_stats.rows_out;
+    r.inner_opens = inner_stats.opens;
+    return r;
+  }
+
+  /// Sweeps batch sizes 1, 7 and 1024 and compares each against batch 1,
+  /// which it returns.
+  SweepResult ExpectBatchSizesAgree(const std::string& label,
+                             const std::function<OperatorPtr()>& outer,
+                             const std::function<OperatorPtr()>& inner,
+                             const MakeJoin& make) {
+    SweepResult ref = RunAt(1, outer(), inner(), make);
+    EXPECT_FALSE(ref.rows.empty()) << label;
+    EXPECT_EQ(ref.join_rows_out, ref.rows.size()) << label;
+    for (size_t batch_size : {size_t{7}, size_t{1024}}) {
+      SweepResult got = RunAt(batch_size, outer(), inner(), make);
+      std::string at = label + " batch_size=" + std::to_string(batch_size);
+      EXPECT_EQ(got.rows, ref.rows) << at;
+      EXPECT_EQ(got.join_rows_out, ref.join_rows_out) << at;
+      EXPECT_EQ(got.outer_rows_out, ref.outer_rows_out) << at;
+      EXPECT_EQ(got.inner_rows_out, ref.inner_rows_out) << at;
+      EXPECT_EQ(got.inner_opens, ref.inner_opens) << at;
+    }
+    return ref;
+  }
+
+  static OperatorPtr SweepOuter() {
+    return exec::MakeValuesOp(SweepOuterRows());
+  }
+  static OperatorPtr SweepInner() {
+    return exec::MakeValuesOp(SweepInnerRows());
   }
 };
 
@@ -239,8 +338,12 @@ TEST_F(JoinKindTest, NlScalarKind) {
   auto bad =
       exec::MakeNlJoinOp(Outer(), std::move(bad_inner), std::move(bad_spec));
   ASSERT_TRUE(bad->Open(&ctx_).ok());
-  Row out;
-  EXPECT_FALSE(bad->Next(&out).ok());
+  RowBatch out(RowBatch::kDefaultCapacity);
+  Result<bool> more = bad->NextBatch(&out);
+  ASSERT_FALSE(more.ok());
+  EXPECT_EQ(more.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(more.status().ToString().find("more than one row"),
+            std::string::npos);
   bad->Close();
 }
 
@@ -406,6 +509,130 @@ TEST_F(JoinKindTest, MergeJoinRejectsUnsupportedKinds) {
   auto merge2 =
       exec::MakeMergeJoinOp(Outer(), Inner(), {{0, 0}}, std::move(quant));
   EXPECT_FALSE(merge2->Open(&ctx_).ok());
+}
+
+TEST_F(JoinKindTest, NlJoinKindsAgreeAcrossBatchSizes) {
+  // Verdict kinds stop reading the inner early, so at every batch size
+  // they read fewer inner rows than one full inner scan per outer row.
+  const uint64_t outer_rows = SweepOuterRows().size();
+  const uint64_t full_scans = outer_rows * SweepInnerRows().size();
+  for (JoinKind kind : {JoinKind::kRegular, JoinKind::kLeftOuter,
+                        JoinKind::kExists, JoinKind::kAnti}) {
+    SweepResult ref = ExpectBatchSizesAgree(
+        std::string("NL ") + optimizer::JoinKindName(kind), SweepOuter,
+        SweepInner, [&](OperatorPtr o, OperatorPtr i) {
+          return exec::MakeNlJoinOp(std::move(o), std::move(i), EqSpec(kind));
+        });
+    if (kind == JoinKind::kExists || kind == JoinKind::kAnti) {
+      EXPECT_LT(ref.inner_rows_out, full_scans)
+          << optimizer::JoinKindName(kind);
+    }
+  }
+
+  // Scalar: at most one inner match per outer row (distinct inner keys).
+  ExpectBatchSizesAgree(
+      "NL scalar", SweepOuter,
+      [] {
+        return exec::MakeValuesOp({R({Value::Int(1)}), R({Value::Int(3)}),
+                                   R({Value::Null()}), R({Value::Int(6)})});
+      },
+      [&](OperatorPtr o, OperatorPtr i) {
+        return exec::MakeNlJoinOp(std::move(o), std::move(i),
+                                  EqSpec(JoinKind::kScalar));
+      });
+
+  // outer.0 <> ALL(inner): NOT IN, stops at the first equal inner row.
+  // (A NULL inner value would make every verdict UNKNOWN.)
+  auto inner_without_nulls = [] {
+    std::vector<Row> rows = SweepInnerRows();
+    rows.erase(std::remove_if(rows.begin(), rows.end(),
+                              [](const Row& r) { return r[0].is_null(); }),
+               rows.end());
+    return exec::MakeValuesOp(std::move(rows));
+  };
+  SweepResult all = ExpectBatchSizesAgree(
+      "NL op-ALL", SweepOuter, inner_without_nulls,
+      [](OperatorPtr o, OperatorPtr i) {
+        JoinSpec spec;
+        spec.kind = JoinKind::kOpAll;
+        spec.inner_width = 1;
+        spec.cmp_op = ast::BinaryOp::kNe;
+        spec.quant_operand = Slot(0);
+        return exec::MakeNlJoinOp(std::move(o), std::move(i), std::move(spec));
+      });
+  EXPECT_LT(all.inner_rows_out, outer_rows * (SweepInnerRows().size() - 1));
+
+  // AT_LEAST_TWO inner values <= outer.0: decided at the second match.
+  static const SetPredicateFunctionDef at_least_two{
+      "AT_LEAST_TWO", [] { return std::make_unique<AtLeastTwoState>(); }};
+  SweepResult set_pred = ExpectBatchSizesAgree(
+      "NL set predicate", SweepOuter, SweepInner,
+      [](OperatorPtr o, OperatorPtr i) {
+        JoinSpec spec;
+        spec.kind = JoinKind::kSetPred;
+        spec.inner_width = 1;
+        spec.cmp_op = ast::BinaryOp::kGe;
+        spec.quant_operand = Slot(0);
+        spec.set_pred = &at_least_two;
+        return exec::MakeNlJoinOp(std::move(o), std::move(i), std::move(spec));
+      });
+  EXPECT_LT(set_pred.inner_rows_out, full_scans);
+}
+
+TEST_F(JoinKindTest, DependentNlJoinAgreesAcrossBatchSizes) {
+  // The inner filters on a parameter bound from each outer row, so the
+  // join must re-open it per outer row under that row's frame.
+  static qgm::Quantifier q;  // identity only; never dereferenced
+  auto dependent_inner = [] {
+    auto param = std::make_unique<exec::CompiledExpr>();
+    param->kind = qgm::Expr::Kind::kColumnRef;
+    param->slot = -1;
+    param->param_q = &q;
+    param->param_col = 0;
+    std::vector<CompiledExprPtr> preds;
+    preds.push_back(Cmp(ast::BinaryOp::kEq, Slot(0), std::move(param)));
+    return exec::MakeFilterOp(SweepInner(), std::move(preds));
+  };
+  for (JoinKind kind : {JoinKind::kRegular, JoinKind::kLeftOuter,
+                        JoinKind::kExists, JoinKind::kAnti}) {
+    auto correlated = [&](OperatorPtr o, OperatorPtr i) {
+      JoinSpec spec;
+      spec.kind = kind;
+      spec.inner_width = 1;
+      spec.inner_params = {{&q, 0, /*outer_slot=*/0}};
+      return exec::MakeNlJoinOp(std::move(o), std::move(i), std::move(spec));
+    };
+    ExpectBatchSizesAgree(
+        std::string("dependent NL ") + optimizer::JoinKindName(kind),
+        SweepOuter, dependent_inner, correlated);
+    // Correlation through the frame gives the same answer as the
+    // equality predicate over an uncorrelated inner.
+    auto uncorrelated = [&](OperatorPtr o, OperatorPtr i) {
+      return exec::MakeNlJoinOp(std::move(o), std::move(i), EqSpec(kind));
+    };
+    SweepResult dep = RunAt(7, SweepOuter(), dependent_inner(), correlated);
+    SweepResult eq = RunAt(7, SweepOuter(), SweepInner(), uncorrelated);
+    EXPECT_EQ(dep.rows, eq.rows) << optimizer::JoinKindName(kind);
+    EXPECT_EQ(dep.inner_opens, SweepOuterRows().size())
+        << optimizer::JoinKindName(kind);
+  }
+}
+
+TEST_F(JoinKindTest, MergeJoinKindsAgreeAcrossBatchSizes) {
+  for (JoinKind kind :
+       {JoinKind::kRegular, JoinKind::kExists, JoinKind::kLeftOuter}) {
+    ExpectBatchSizesAgree(
+        std::string("merge ") + optimizer::JoinKindName(kind),
+        [] { return exec::MakeSortOp(SweepOuter(), {{0, true}}); },
+        [] { return exec::MakeSortOp(SweepInner(), {{0, true}}); },
+        [&](OperatorPtr o, OperatorPtr i) {
+          JoinSpec spec;
+          spec.kind = kind;
+          spec.inner_width = 1;
+          return exec::MakeMergeJoinOp(std::move(o), std::move(i), {{0, 0}},
+                                       std::move(spec));
+        });
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "engine/database.h"
 #include "ext/extensions.h"
+#include "obs/op_stats.h"
 
 namespace starburst {
 namespace {
@@ -81,6 +86,44 @@ TEST_F(ExtensionTest, RTreeIndexIsUsedByOptimizer) {
       "SELECT id FROM pts WHERE PX(loc) >= 2 AND PX(loc) <= 4 "
       "AND PY(loc) >= 2 AND PY(loc) <= 4 ORDER BY id");
   EXPECT_EQ(indexed, scanned);
+
+  // The R-tree scan (with a residual predicate it filters per batch)
+  // answers identically, and every operator reports the same rows_out,
+  // at batch size 1 (the row-at-a-time reference) and 1024.
+  db_.options().collect_op_stats = true;
+  const std::string windowed =
+      "SELECT id FROM pts WHERE CONTAINS(loc, 2, 2, 4, 4) AND id % 2 = 0 "
+      "ORDER BY id";
+  std::vector<std::vector<Row>> answers;
+  std::vector<std::vector<std::pair<std::string, uint64_t>>> actuals;
+  for (int batch_size : {1, 1024}) {
+    ASSERT_TRUE(Exec("SET BATCH_SIZE = " + std::to_string(batch_size)));
+    Result<ResultSet> r = db_.Execute(windowed);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    answers.push_back(r->rows());
+    ASSERT_NE(db_.last_metrics().op_stats, nullptr);
+    ASSERT_FALSE(db_.last_metrics().op_stats->roots().empty());
+    actuals.emplace_back();
+    std::vector<const obs::PlanStatsTree::Node*> stack = {
+        db_.last_metrics().op_stats->roots()[0]};
+    while (!stack.empty()) {
+      const obs::PlanStatsTree::Node* node = stack.back();
+      stack.pop_back();
+      actuals.back().emplace_back(node->name, node->actual.rows_out.load());
+      stack.insert(stack.end(), node->children.begin(), node->children.end());
+    }
+  }
+  ASSERT_EQ(answers[0].size(), 6u);  // ids 42, 44, 62, 64, 82, 84
+  EXPECT_EQ(answers[0][0][0], Value::Int(42));
+  EXPECT_EQ(answers[1], answers[0]);
+  EXPECT_EQ(actuals[1], actuals[0]);
+  bool saw_rtree_scan = false;
+  for (const auto& [name, rows_out] : actuals[0]) {
+    if (name.find("RTREE_SCAN") == std::string::npos) continue;
+    saw_rtree_scan = true;
+    EXPECT_EQ(rows_out, 6u) << name;
+  }
+  EXPECT_TRUE(saw_rtree_scan);
 }
 
 TEST_F(ExtensionTest, RTreeMaintainedAcrossDeletes) {

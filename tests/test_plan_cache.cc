@@ -104,7 +104,10 @@ TEST_F(PlanCacheTest, CachedPlanSeesFreshData) {
 TEST_F(PlanCacheTest, KnobChangeMissesInsteadOfInvalidating) {
   const std::string q = "SELECT id FROM t WHERE grp = 1";
   Run(q);
-  Run("SET PARALLELISM = 4");
+  // Any value but the default changes the fingerprint; a literal would
+  // equal the default on a host with that many cores.
+  const size_t other = exec::ExecOptions::DefaultParallelism() + 1;
+  Run("SET PARALLELISM = " + std::to_string(other));
   Run(q);
   EXPECT_FALSE(M().plan_cache_hit);  // different knob fingerprint
   EXPECT_EQ(M().plan_cache.invalidations, 0u);

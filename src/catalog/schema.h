@@ -30,6 +30,11 @@ class TableSchema {
 
   void AddColumn(ColumnDef col) { columns_.push_back(std::move(col)); }
 
+  /// The reserved position one past the stored columns: a scan that
+  /// projects it emits the row's RID (Rid::Encode, an INT). Only the
+  /// target of an UPDATE or DELETE exposes it; SQL can never name it.
+  size_t rid_column() const { return columns_.size(); }
+
   /// Case-insensitive column lookup; nullopt if absent.
   std::optional<size_t> FindColumn(const std::string& name) const;
 

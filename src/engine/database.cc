@@ -424,10 +424,15 @@ Result<ResultSet> Database::ExecuteStatement(const ast::Statement& stmt,
       return RunDropView(static_cast<const ast::DropViewStatement&>(stmt).name);
     case ast::StatementKind::kInsert:
       return RunInsert(static_cast<const ast::InsertStatement&>(stmt));
-    case ast::StatementKind::kDelete:
-      return RunDelete(static_cast<const ast::DeleteStatement&>(stmt));
-    case ast::StatementKind::kUpdate:
-      return RunUpdate(static_cast<const ast::UpdateStatement&>(stmt));
+    case ast::StatementKind::kDelete: {
+      const auto& del = static_cast<const ast::DeleteStatement&>(stmt);
+      return RunMutation(del.table, del.where.get(), nullptr);
+    }
+    case ast::StatementKind::kUpdate: {
+      const auto& update = static_cast<const ast::UpdateStatement&>(stmt);
+      return RunMutation(update.table, update.where.get(),
+                         &update.assignments);
+    }
     case ast::StatementKind::kSet:
       return RunSet(static_cast<const ast::SetStatement&>(stmt));
     case ast::StatementKind::kKill:
@@ -663,22 +668,30 @@ Result<Database::QueryOutput> Database::RunQueryPipeline(
 
 Result<PreparedStatementPtr> Database::CompileSelect(const ast::Query& query,
                                                      PipelineCapture* capture) {
-  auto ps = std::make_shared<PreparedStatement>();
   statements_.SetPhase(stmt_state().id, "compile");
-
   obs::Span bind_span(&tracer_, "bind", "phase");
   Timer bind_timer;
   qgm::Binder binder(&catalog_);
-  STARBURST_ASSIGN_OR_RETURN(ps->graph, binder.BindQuery(query));
+  STARBURST_ASSIGN_OR_RETURN(std::unique_ptr<qgm::Graph> graph,
+                             binder.BindQuery(query));
+  stmt_state().metrics.bind_us = bind_timer.ElapsedUs();
+  bind_span.End();
+
+  STARBURST_ASSIGN_OR_RETURN(PreparedStatementPtr ps,
+                             CompileBound(std::move(graph), capture));
   // Freshness contract: the compiled plan is valid while none of the
   // objects the binder resolved (transitively, through views) changes.
   for (const std::string& dep : binder.referenced_objects()) {
     ps->dependencies.emplace_back(dep, catalog_.ObjectVersion(dep));
   }
   ps->catalog_version = catalog_.version();
-  stmt_state().metrics.bind_us = bind_timer.ElapsedUs();
-  bind_span.End();
+  return ps;
+}
 
+Result<PreparedStatementPtr> Database::CompileBound(
+    std::unique_ptr<qgm::Graph> bound, PipelineCapture* capture) {
+  auto ps = std::make_shared<PreparedStatement>();
+  ps->graph = std::move(bound);
   qgm::Graph* graph = ps->graph.get();
   ps->num_params = graph->num_params;
 
@@ -946,27 +959,20 @@ void AppendLines(const std::string& text, std::vector<Row>* out) {
 
 Result<ResultSet> Database::RunExplain(const ast::ExplainStatement& stmt) {
   if (stmt.analyze || stmt.verbose) return RunExplainReport(stmt);
-  qgm::Binder binder(&catalog_);
-  STARBURST_ASSIGN_OR_RETURN(std::unique_ptr<qgm::Graph> graph,
-                             binder.BindQuery(*stmt.query));
   std::string text;
-  if (stmt.what == ast::ExplainStatement::What::kQgm) {
-    if (!stmt.before_rewrite && options_.rewrite_enabled) {
-      STARBURST_RETURN_IF_ERROR(
-          rule_engine_.Run(graph.get(), &catalog_, options_.rewrite).status());
-    }
+  if (stmt.what == ast::ExplainStatement::What::kQgm && stmt.before_rewrite) {
+    qgm::Binder binder(&catalog_);
+    STARBURST_ASSIGN_OR_RETURN(std::unique_ptr<qgm::Graph> graph,
+                               binder.BindQuery(*stmt.query));
     text = qgm::PrintGraph(*graph);
   } else {
-    if (options_.rewrite_enabled) {
-      STARBURST_RETURN_IF_ERROR(
-          rule_engine_.Run(graph.get(), &catalog_, options_.rewrite).status());
-    }
-    optimizer::Optimizer opt(&catalog_, options_.optimizer);
-    for (const optimizer::Star& star : extra_stars_) {
-      STARBURST_RETURN_IF_ERROR(opt.stars().Add(star));
-    }
-    STARBURST_ASSIGN_OR_RETURN(optimizer::PlanPtr plan, opt.Optimize(*graph));
-    text = plan->ToString();
+    PipelineCapture capture;
+    capture.want_texts = true;
+    capture.execute = false;
+    STARBURST_RETURN_IF_ERROR(RunQueryPipeline(*stmt.query, &capture).status());
+    text = stmt.what == ast::ExplainStatement::What::kQgm
+               ? std::move(capture.qgm_text)
+               : std::move(capture.plan_text);
   }
   std::vector<Row> rows;
   rows.push_back(Row({Value::String(std::move(text))}));
@@ -1379,19 +1385,29 @@ void Database::RefreshRowStats(const std::string& table_name) {
   (*def)->stats.page_count = static_cast<double>((*storage)->page_count());
 }
 
-Result<ResultSet> Database::RunInsert(const ast::InsertStatement& stmt) {
-  STARBURST_RETURN_IF_ERROR(RejectSystemTarget(stmt.table, "insert into"));
-  const TableDef* table = nullptr;
-  std::unique_ptr<UpdatableView> view;
-  if (catalog_.HasView(stmt.table)) {
-    STARBURST_ASSIGN_OR_RETURN(const ViewDef* vd, catalog_.GetView(stmt.table));
+Result<Database::DmlTarget> Database::ResolveDmlTarget(
+    const std::string& name, const char* verb) const {
+  STARBURST_RETURN_IF_ERROR(RejectSystemTarget(name, verb));
+  DmlTarget dml;
+  qgm::Binder::MutationTarget& t = dml.target;
+  if (catalog_.HasView(name)) {
+    STARBURST_ASSIGN_OR_RETURN(const ViewDef* vd, catalog_.GetView(name));
     STARBURST_ASSIGN_OR_RETURN(UpdatableView uv, ResolveUpdatableView(*vd));
-    view = std::make_unique<UpdatableView>(std::move(uv));
-    table = view->table;
+    dml.view = std::make_unique<UpdatableView>(std::move(uv));
+    t = {dml.view->table, &dml.view->pseudo, &dml.view->column_map,
+         dml.view->where};
   } else {
-    STARBURST_ASSIGN_OR_RETURN(table, catalog_.GetTable(stmt.table));
+    STARBURST_ASSIGN_OR_RETURN(t.table, catalog_.GetTable(name));
+    t.exposed = t.table;
   }
-  const TableSchema& exposed = view ? view->pseudo.schema : table->schema;
+  return dml;
+}
+
+Result<ResultSet> Database::RunInsert(const ast::InsertStatement& stmt) {
+  STARBURST_ASSIGN_OR_RETURN(DmlTarget dml,
+                             ResolveDmlTarget(stmt.table, "insert into"));
+  const qgm::Binder::MutationTarget& target = dml.target;
+  const TableSchema& exposed = target.exposed->schema;
   std::vector<size_t> targets;
   if (stmt.columns.empty()) {
     for (size_t i = 0; i < exposed.num_columns(); ++i) {
@@ -1407,8 +1423,8 @@ Result<ResultSet> Database::RunInsert(const ast::InsertStatement& stmt) {
       targets.push_back(*idx);
     }
   }
-  if (view != nullptr) {
-    for (size_t& t : targets) t = view->column_map[t];
+  if (target.column_map != nullptr) {
+    for (size_t& t : targets) t = (*target.column_map)[t];
   }
 
   std::vector<Row> rows;
@@ -1436,220 +1452,72 @@ Result<ResultSet> Database::RunInsert(const ast::InsertStatement& stmt) {
       rows.push_back(Row(std::move(values)));
     }
   }
-  STARBURST_RETURN_IF_ERROR(InsertRows(*table, rows, targets));
+  STARBURST_RETURN_IF_ERROR(InsertRows(*target.table, rows, targets));
   return ResultSet::Message("INSERT", static_cast<int64_t>(rows.size()));
 }
 
-namespace {
+Result<ResultSet> Database::RunMutation(
+    const std::string& name, const ast::Expr* where,
+    const std::vector<std::pair<std::string, ast::ExprPtr>>* assignments) {
+  const bool update = assignments != nullptr;
+  const char* kind = update ? "UPDATE" : "DELETE";
+  STARBURST_ASSIGN_OR_RETURN(
+      DmlTarget dml, ResolveDmlTarget(name, update ? "update" : "delete from"));
+  const qgm::Binder::MutationTarget& target = dml.target;
+  const TableDef& table = *target.table;
 
-Row ProjectViewRow(const Row& base_row, const std::vector<size_t>& map) {
-  std::vector<Value> values;
-  values.reserve(map.size());
-  for (size_t c : map) values.push_back(base_row[c]);
-  return Row(std::move(values));
-}
-
-}  // namespace
-
-Result<ResultSet> Database::RunDelete(const ast::DeleteStatement& stmt) {
-  STARBURST_RETURN_IF_ERROR(RejectSystemTarget(stmt.table, "delete from"));
-  const TableDef* table = nullptr;
-  std::unique_ptr<UpdatableView> view;
-  if (catalog_.HasView(stmt.table)) {
-    STARBURST_ASSIGN_OR_RETURN(const ViewDef* vd, catalog_.GetView(stmt.table));
-    STARBURST_ASSIGN_OR_RETURN(UpdatableView uv, ResolveUpdatableView(*vd));
-    view = std::make_unique<UpdatableView>(std::move(uv));
-    table = view->table;
-  } else {
-    STARBURST_ASSIGN_OR_RETURN(table, catalog_.GetTable(stmt.table));
-  }
-  const TableDef& bind_target = view ? view->pseudo : *table;
-
+  // Read: "which RIDs, with which new values" is an ordinary query, run
+  // to completion before the first write, so an UPDATE of an indexed key
+  // never meets its own output and a cancelled read changes nothing.
+  statements_.SetPhase(stmt_state().id, "compile");
+  obs::Span bind_span(&tracer_, "bind", "phase");
+  Timer bind_timer;
   qgm::Binder binder(&catalog_);
   STARBURST_ASSIGN_OR_RETURN(
-      qgm::Binder::TableMutationBind bind,
-      binder.BindTableMutation(bind_target, stmt.where.get(), nullptr));
+      std::unique_ptr<qgm::Graph> graph,
+      binder.BindTableMutation(target, where, assignments));
+  stmt_state().metrics.bind_us = bind_timer.ElapsedUs();
+  bind_span.End();
+  STARBURST_ASSIGN_OR_RETURN(PreparedStatementPtr ps,
+                             CompileBound(std::move(graph), nullptr));
+  STARBURST_ASSIGN_OR_RETURN(QueryOutput out, ExecuteCompiled(*ps, nullptr));
+  std::vector<Row>& rows = out.rows;
 
-  // Plan every box (subqueries in the WHERE clause become runtimes).
-  optimizer::Optimizer opt(&catalog_, options_.optimizer);
-  STARBURST_RETURN_IF_ERROR(opt.Optimize(*bind.graph).status());
-  exec::PlanRefiner refiner(&catalog_, &opt.box_plans(),
-                            exec::PlanRefiner::Options{});
-
-  std::vector<optimizer::ColumnBinding> layout;
-  for (size_t i = 0; i < bind_target.schema.num_columns(); ++i) {
-    layout.push_back(optimizer::ColumnBinding{bind.quantifier, nullptr, i});
+  // Apply, in ascending RID order (the order a table scan visits rows).
+  // Each row is [RID] for DELETE and [RID, new row...] for UPDATE. All
+  // are checked and coerced before the first write, so a NOT NULL or
+  // type violation leaves the table as it was.
+  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    return a[0].int_value() < b[0].int_value();
+  });
+  // Base columns the SET list writes (the binder resolved every name).
+  std::vector<size_t> assigned;
+  for (size_t i = 0; update && i < assignments->size(); ++i) {
+    size_t c = *target.exposed->schema.FindColumn((*assignments)[i].first);
+    assigned.push_back(target.column_map ? (*target.column_map)[c] : c);
   }
-  exec::CompiledExprPtr predicate;
-  if (bind.predicate != nullptr) {
-    STARBURST_ASSIGN_OR_RETURN(predicate,
-                               refiner.Compile(*bind.predicate, layout, nullptr));
-  }
-
-  // A view target contributes its own WHERE, bound against the base table.
-  qgm::Binder view_binder(&catalog_);
-  std::unique_ptr<qgm::Binder::TableMutationBind> view_bind;
-  std::unique_ptr<optimizer::Optimizer> view_opt;
-  std::unique_ptr<exec::PlanRefiner> view_refiner;
-  exec::CompiledExprPtr view_predicate;
-  if (view != nullptr && view->where != nullptr) {
-    STARBURST_ASSIGN_OR_RETURN(
-        qgm::Binder::TableMutationBind vb,
-        view_binder.BindTableMutation(*table, view->where, nullptr));
-    view_bind = std::make_unique<qgm::Binder::TableMutationBind>(std::move(vb));
-    view_opt = std::make_unique<optimizer::Optimizer>(&catalog_,
-                                                      options_.optimizer);
-    STARBURST_RETURN_IF_ERROR(view_opt->Optimize(*view_bind->graph).status());
-    view_refiner = std::make_unique<exec::PlanRefiner>(
-        &catalog_, &view_opt->box_plans(), exec::PlanRefiner::Options{});
-    std::vector<optimizer::ColumnBinding> base_layout;
-    for (size_t i = 0; i < table->schema.num_columns(); ++i) {
-      base_layout.push_back(
-          optimizer::ColumnBinding{view_bind->quantifier, nullptr, i});
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (i > 0 && rows[i][0].int_value() == rows[i - 1][0].int_value()) {
+      return Status::Internal(std::string(kind) + " read one row twice");
     }
-    STARBURST_ASSIGN_OR_RETURN(
-        view_predicate,
-        view_refiner->Compile(*view_bind->predicate, base_layout, nullptr));
-  }
-
-  STARBURST_ASSIGN_OR_RETURN(TableStorage * storage,
-                             storage_.GetTable(table->name));
-  exec::ExecContext ctx(&storage_, &catalog_);
-  std::vector<Rid> victims;
-  std::unique_ptr<TableScanIterator> scan = storage->NewScan();
-  Row row;
-  Rid rid;
-  while (true) {
-    STARBURST_ASSIGN_OR_RETURN(bool more, scan->Next(&row, &rid));
-    if (!more) break;
-    if (view_predicate != nullptr) {
-      STARBURST_ASSIGN_OR_RETURN(bool pass,
-                                 view_predicate->EvalPredicate(row, &ctx));
-      if (!pass) continue;  // row not visible through the view
-    }
-    if (predicate != nullptr) {
-      Row visible = view ? ProjectViewRow(row, view->column_map) : row;
-      STARBURST_ASSIGN_OR_RETURN(bool pass,
-                                 predicate->EvalPredicate(visible, &ctx));
-      if (!pass) continue;
-    }
-    victims.push_back(rid);
-  }
-  for (Rid v : victims) {
-    STARBURST_RETURN_IF_ERROR(storage_.DeleteRow(table->name, v));
-  }
-  RefreshRowStats(table->name);
-  return ResultSet::Message("DELETE", static_cast<int64_t>(victims.size()));
-}
-
-Result<ResultSet> Database::RunUpdate(const ast::UpdateStatement& stmt) {
-  STARBURST_RETURN_IF_ERROR(RejectSystemTarget(stmt.table, "update"));
-  const TableDef* table = nullptr;
-  std::unique_ptr<UpdatableView> view;
-  if (catalog_.HasView(stmt.table)) {
-    STARBURST_ASSIGN_OR_RETURN(const ViewDef* vd, catalog_.GetView(stmt.table));
-    STARBURST_ASSIGN_OR_RETURN(UpdatableView uv, ResolveUpdatableView(*vd));
-    view = std::make_unique<UpdatableView>(std::move(uv));
-    table = view->table;
-  } else {
-    STARBURST_ASSIGN_OR_RETURN(table, catalog_.GetTable(stmt.table));
-  }
-  const TableDef& bind_target = view ? view->pseudo : *table;
-
-  std::vector<std::pair<std::string, const ast::Expr*>> assignments;
-  for (const auto& [name, expr] : stmt.assignments) {
-    assignments.emplace_back(name, expr.get());
-  }
-  qgm::Binder binder(&catalog_);
-  STARBURST_ASSIGN_OR_RETURN(
-      qgm::Binder::TableMutationBind bind,
-      binder.BindTableMutation(bind_target, stmt.where.get(), &assignments));
-
-  optimizer::Optimizer opt(&catalog_, options_.optimizer);
-  STARBURST_RETURN_IF_ERROR(opt.Optimize(*bind.graph).status());
-  exec::PlanRefiner refiner(&catalog_, &opt.box_plans(),
-                            exec::PlanRefiner::Options{});
-
-  std::vector<optimizer::ColumnBinding> layout;
-  for (size_t i = 0; i < bind_target.schema.num_columns(); ++i) {
-    layout.push_back(optimizer::ColumnBinding{bind.quantifier, nullptr, i});
-  }
-  exec::CompiledExprPtr predicate;
-  if (bind.predicate != nullptr) {
-    STARBURST_ASSIGN_OR_RETURN(predicate,
-                               refiner.Compile(*bind.predicate, layout, nullptr));
-  }
-  std::vector<std::pair<size_t, exec::CompiledExprPtr>> compiled_assignments;
-  for (const auto& [col, expr] : bind.assignments) {
-    STARBURST_ASSIGN_OR_RETURN(exec::CompiledExprPtr c,
-                               refiner.Compile(*expr, layout, nullptr));
-    // For a view target, map the exposed column onto its base column.
-    size_t base_col = view ? view->column_map[col] : col;
-    compiled_assignments.emplace_back(base_col, std::move(c));
-  }
-
-  // The view's own WHERE restricts which base rows are updatable.
-  qgm::Binder view_binder(&catalog_);
-  std::unique_ptr<qgm::Binder::TableMutationBind> view_bind;
-  std::unique_ptr<optimizer::Optimizer> view_opt;
-  std::unique_ptr<exec::PlanRefiner> view_refiner;
-  exec::CompiledExprPtr view_predicate;
-  if (view != nullptr && view->where != nullptr) {
-    STARBURST_ASSIGN_OR_RETURN(
-        qgm::Binder::TableMutationBind vb,
-        view_binder.BindTableMutation(*table, view->where, nullptr));
-    view_bind = std::make_unique<qgm::Binder::TableMutationBind>(std::move(vb));
-    view_opt = std::make_unique<optimizer::Optimizer>(&catalog_,
-                                                      options_.optimizer);
-    STARBURST_RETURN_IF_ERROR(view_opt->Optimize(*view_bind->graph).status());
-    view_refiner = std::make_unique<exec::PlanRefiner>(
-        &catalog_, &view_opt->box_plans(), exec::PlanRefiner::Options{});
-    std::vector<optimizer::ColumnBinding> base_layout;
-    for (size_t i = 0; i < table->schema.num_columns(); ++i) {
-      base_layout.push_back(
-          optimizer::ColumnBinding{view_bind->quantifier, nullptr, i});
-    }
-    STARBURST_ASSIGN_OR_RETURN(
-        view_predicate,
-        view_refiner->Compile(*view_bind->predicate, base_layout, nullptr));
-  }
-
-  STARBURST_ASSIGN_OR_RETURN(TableStorage * storage,
-                             storage_.GetTable(table->name));
-  exec::ExecContext ctx(&storage_, &catalog_);
-  std::vector<std::pair<Rid, Row>> updates;
-  std::unique_ptr<TableScanIterator> scan = storage->NewScan();
-  Row row;
-  Rid rid;
-  while (true) {
-    STARBURST_ASSIGN_OR_RETURN(bool more, scan->Next(&row, &rid));
-    if (!more) break;
-    if (view_predicate != nullptr) {
-      STARBURST_ASSIGN_OR_RETURN(bool pass,
-                                 view_predicate->EvalPredicate(row, &ctx));
-      if (!pass) continue;
-    }
-    Row visible = view ? ProjectViewRow(row, view->column_map) : row;
-    if (predicate != nullptr) {
-      STARBURST_ASSIGN_OR_RETURN(bool pass,
-                                 predicate->EvalPredicate(visible, &ctx));
-      if (!pass) continue;
-    }
-    Row updated = row;
-    for (const auto& [base_col, expr] : compiled_assignments) {
-      STARBURST_ASSIGN_OR_RETURN(Value v, expr->Eval(visible, &ctx));
+    for (size_t c : assigned) {
       STARBURST_ASSIGN_OR_RETURN(
-          updated[base_col],
-          CoerceForColumn(std::move(v), table->schema.column(base_col)));
+          rows[i][c + 1],
+          CoerceForColumn(std::move(rows[i][c + 1]), table.schema.column(c)));
     }
-    updates.emplace_back(rid, std::move(updated));
   }
-  for (auto& [victim, new_row] : updates) {
-    STARBURST_RETURN_IF_ERROR(
-        storage_.UpdateRow(table->name, victim, new_row).status());
+  for (Row& row : rows) {
+    Rid rid = Rid::Decode(row[0].int_value());
+    if (update) {
+      row.values().erase(row.values().begin());
+      STARBURST_RETURN_IF_ERROR(
+          storage_.UpdateRow(table.name, rid, row).status());
+    } else {
+      STARBURST_RETURN_IF_ERROR(storage_.DeleteRow(table.name, rid));
+    }
   }
-  RefreshRowStats(table->name);
-  return ResultSet::Message("UPDATE", static_cast<int64_t>(updates.size()));
+  RefreshRowStats(table.name);
+  return ResultSet::Message(kind, static_cast<int64_t>(rows.size()));
 }
 
 // ---------------------------------------------------------------------------

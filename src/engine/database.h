@@ -20,6 +20,7 @@
 #include "obs/query_log.h"
 #include "obs/trace.h"
 #include "optimizer/optimizer.h"
+#include "qgm/binder.h"
 #include "rewrite/rule_engine.h"
 #include "storage/storage_engine.h"
 #include "storage/system_storage.h"
@@ -255,8 +256,12 @@ class Database {
   Result<ResultSet> RunSet(const ast::SetStatement& stmt);
   Result<ResultSet> RunKill(const ast::KillStatement& stmt);
   Result<ResultSet> RunInsert(const ast::InsertStatement& stmt);
-  Result<ResultSet> RunDelete(const ast::DeleteStatement& stmt);
-  Result<ResultSet> RunUpdate(const ast::UpdateStatement& stmt);
+  /// UPDATE (`assignments` non-null) or DELETE: plans the target RIDs
+  /// and new rows as a query through the Figure 1 pipeline, drains it,
+  /// then applies the rows in ascending RID order.
+  Result<ResultSet> RunMutation(
+      const std::string& name, const ast::Expr* where,
+      const std::vector<std::pair<std::string, ast::ExprPtr>>* assignments);
 
   /// The full compile+execute pipeline for a bound query.
   struct QueryOutput {
@@ -279,6 +284,10 @@ class Database {
   /// re-executable artifact, filling the compile-phase metrics.
   Result<PreparedStatementPtr> CompileSelect(const ast::Query& query,
                                              PipelineCapture* capture);
+  /// The compile half after bind: rewrite, optimize (with the DBC STARs)
+  /// and refine under the session's exec options.
+  Result<PreparedStatementPtr> CompileBound(std::unique_ptr<qgm::Graph> bound,
+                                            PipelineCapture* capture);
   /// Figure 1's run half: re-opens the compiled operator tree under a
   /// fresh ExecContext (binding `params` when given) and drains it.
   Result<QueryOutput> ExecuteCompiled(PreparedStatement& ps,
@@ -311,6 +320,17 @@ class Database {
     const ast::Expr* where = nullptr;
   };
   Result<UpdatableView> ResolveUpdatableView(const ViewDef& view) const;
+
+  /// The stored table an INSERT, UPDATE or DELETE writes, named directly
+  /// or through an updatable view (`view` owns what `target` points into).
+  struct DmlTarget {
+    std::unique_ptr<UpdatableView> view;  // null: named directly
+    qgm::Binder::MutationTarget target;
+  };
+  /// Rejects sys.* targets (`verb` names the statement in the error),
+  /// then resolves `name` to a table or an updatable view.
+  Result<DmlTarget> ResolveDmlTarget(const std::string& name,
+                                     const char* verb) const;
 
   /// Coerces `v` to a column type (numeric widening only) and checks
   /// nullability.

@@ -42,14 +42,21 @@ OperatorPtr MakeIndexScanOp(const TableDef* table, const IndexDef* index,
                             std::vector<size_t> columns,
                             std::vector<CompiledExprPtr> predicates);
 
-/// Projects `columns` of a full stored row into `out`, reusing the Value
-/// storage `out` already holds (a recycled batch slot).
-inline void ProjectColumnsInto(const Row& full,
+/// Projects `columns` of the full stored row at `rid` into `out`, reusing
+/// the Value storage `out` already holds (a recycled batch slot). The
+/// position one past the stored row (TableSchema::rid_column) is the RID.
+inline void ProjectColumnsInto(const Row& full, Rid rid,
                                const std::vector<size_t>& columns, Row* out) {
   std::vector<Value>& v = out->values();
   v.clear();
   v.reserve(columns.size());
-  for (size_t c : columns) v.push_back(full[c]);
+  for (size_t c : columns) {
+    if (c < full.size()) {
+      v.push_back(full[c]);
+    } else {
+      v.push_back(Value::Int(rid.Encode()));
+    }
+  }
 }
 
 /// The batch refill shared by RID-driven access methods — the B-tree
@@ -74,7 +81,7 @@ Result<bool> FetchRidBatch(ExecContext* ctx, TableStorage* storage,
         break;
       }
       STARBURST_ASSIGN_OR_RETURN(Row full, storage->Fetch(rid));
-      ProjectColumnsInto(full, columns, batch->AppendSlot());
+      ProjectColumnsInto(full, rid, columns, batch->AppendSlot());
     }
     STARBURST_RETURN_IF_ERROR(FilterBatch(predicates, batch, ctx));
     if (!batch->empty()) return true;

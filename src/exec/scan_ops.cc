@@ -37,7 +37,9 @@ class ScanOp : public Operator {
       std::vector<TypeId> slot_types;
       slot_types.reserve(columns_.size());
       for (size_t c : columns_) {
-        slot_types.push_back(table_->schema.column(c).type.id);
+        slot_types.push_back(c == table_->schema.rid_column()
+                                 ? TypeId::kInt
+                                 : table_->schema.column(c).type.id);
       }
       program_ = PredicateProgram::Compile(predicates_, slot_types, kernels);
     }
@@ -91,14 +93,15 @@ class ScanOp : public Operator {
             break;
           }
         }
-        Row& full = block_[block_pos_++];
+        Row& full = block_[block_pos_];
+        Rid rid = block_rids_[block_pos_++];
         Row* slot = batch->AppendSlot();
         if (identity_prefix_ && full.size() == columns_.size()) {
           // Whole-row projection: trade buffers with the block row so both
           // sides keep reusable storage (no copies, no allocation).
           slot->values().swap(full.values());
         } else {
-          ProjectColumnsInto(full, columns_, slot);
+          ProjectColumnsInto(full, rid, columns_, slot);
         }
       }
       STARBURST_RETURN_IF_ERROR(ApplyPredicates(batch));

@@ -333,16 +333,7 @@ Status RTreeScanStar(optimizer::PlanGenerator& gen,
       scan->table = table;
       scan->index = index;
       scan->index_predicate = p;
-      scan->scan_columns = ctx.needed_columns;
-      if (scan->scan_columns.empty()) {
-        for (size_t i = 0; i < input->head.size(); ++i) {
-          scan->scan_columns.push_back(i);
-        }
-      }
-      for (size_t c : scan->scan_columns) {
-        scan->output.push_back(
-            optimizer::ColumnBinding{ctx.quantifier, nullptr, c});
-      }
+      optimizer::SetScanColumns(ctx, scan.get());
       for (const Expr* other : ctx.local_preds) {
         if (other != p) scan->predicates.push_back(other);
       }

@@ -61,6 +61,18 @@ Result<std::vector<PlanPtr>> PlanGenerator::Expand(
 // The default STAR array
 // ---------------------------------------------------------------------------
 
+void SetScanColumns(const StarContext& ctx, Plan* scan) {
+  scan->scan_columns = ctx.needed_columns;
+  if (scan->scan_columns.empty()) {
+    for (size_t i = 0; i < ctx.quantifier->input->head.size(); ++i) {
+      scan->scan_columns.push_back(i);
+    }
+  }
+  for (size_t c : scan->scan_columns) {
+    scan->output.push_back(ColumnBinding{ctx.quantifier, nullptr, c});
+  }
+}
+
 namespace {
 
 bool ExprUsesBoxQuantifiers(const Expr& e, const qgm::Box* box,
@@ -144,15 +156,7 @@ Status SeqScanStar(PlanGenerator& gen, const StarContext& ctx,
   auto scan = NewPlan(Lolepop::kScan);
   scan->quantifier = ctx.quantifier;
   scan->table = input->table;
-  scan->scan_columns = ctx.needed_columns;
-  if (scan->scan_columns.empty()) {
-    for (size_t i = 0; i < input->head.size(); ++i) {
-      scan->scan_columns.push_back(i);
-    }
-  }
-  for (size_t c : scan->scan_columns) {
-    scan->output.push_back(ColumnBinding{ctx.quantifier, nullptr, c});
-  }
+  SetScanColumns(ctx, scan.get());
   scan->predicates = ctx.local_preds;
   gen.cost().FinishScan(scan.get());
   gen.CountPlan();
@@ -185,15 +189,7 @@ Status IndexScanStar(PlanGenerator& gen, const StarContext& ctx,
       ordered->table = table;
       ordered->index = index;
       ordered->index_predicate = nullptr;
-      ordered->scan_columns = ctx.needed_columns;
-      if (ordered->scan_columns.empty()) {
-        for (size_t i = 0; i < input->head.size(); ++i) {
-          ordered->scan_columns.push_back(i);
-        }
-      }
-      for (size_t c : ordered->scan_columns) {
-        ordered->output.push_back(ColumnBinding{ctx.quantifier, nullptr, c});
-      }
+      SetScanColumns(ctx, ordered.get());
       ordered->predicates = ctx.local_preds;
       gen.cost().FinishIndexScan(ordered.get());
       gen.CountPlan();
@@ -236,15 +232,7 @@ Status IndexScanStar(PlanGenerator& gen, const StarContext& ctx,
       iscan->table = table;
       iscan->index = index;
       iscan->index_predicate = p;
-      iscan->scan_columns = ctx.needed_columns;
-      if (iscan->scan_columns.empty()) {
-        for (size_t i = 0; i < input->head.size(); ++i) {
-          iscan->scan_columns.push_back(i);
-        }
-      }
-      for (size_t c : iscan->scan_columns) {
-        iscan->output.push_back(ColumnBinding{ctx.quantifier, nullptr, c});
-      }
+      SetScanColumns(ctx, iscan.get());
       for (const Expr* q : ctx.local_preds) {
         if (q != p) iscan->predicates.push_back(q);
       }

@@ -78,6 +78,11 @@ class StarRegistry {
 /// Installs the base system's STARs.
 void RegisterDefaultStars(StarRegistry* registry);
 
+/// Fills a table-access plan's `scan_columns` — the needed columns, else
+/// every head column of the ranged-over base-table box (a DML target's
+/// RID column included) — and the matching `output` bindings.
+void SetScanColumns(const StarContext& ctx, Plan* scan);
+
 /// Evaluates STARs, expanding nonterminals "much as is done by a macro
 /// processor, until all STARs are fully refined to LOLEPOPs", then costing
 /// through the per-LOLEPOP property functions. Orthogonal to both the rule

@@ -194,60 +194,83 @@ Result<std::unique_ptr<Graph>> Binder::BindQuery(const ast::Query& query) {
   return graph;
 }
 
-Result<Binder::TableMutationBind> Binder::BindTableMutation(
-    const TableDef& table, const ast::Expr* where,
-    const std::vector<std::pair<std::string, const ast::Expr*>>* assignments) {
-  TableMutationBind out;
-  out.graph = std::make_unique<Graph>();
-  graph_ = out.graph.get();
+Result<std::unique_ptr<Graph>> Binder::BindTableMutation(
+    const MutationTarget& target, const ast::Expr* where,
+    const std::vector<std::pair<std::string, ast::ExprPtr>>* assignments) {
+  auto graph = std::make_unique<Graph>();
+  graph_ = graph.get();
   base_table_boxes_.clear();
+  const TableSchema& schema = target.table->schema;
+  const TableDef& exposed = *target.exposed;
 
-  Box* base = BaseTableBox(&table);
+  // The target's base-table box carries the RID. It is its own box:
+  // dropping it from the cache leaves subqueries over the same table an
+  // ordinary one, without the RID column.
+  Box* base = BaseTableBox(target.table);
+  base->head.push_back(HeadColumn{"#RID", DataType::Int(), nullptr});
+  base_table_boxes_.clear();
   Box* select = graph_->NewBox(BoxKind::kSelect);
   Quantifier* q = select->AddQuantifier(
       graph_->NewQuantifier(QuantifierType::kForEach, base));
-  q->alias = table.name;
-  for (size_t i = 0; i < table.schema.num_columns(); ++i) {
-    const ColumnDef& col = table.schema.column(i);
-    select->head.push_back(
-        HeadColumn{col.name, col.type, MakeColumnRef(q, i, col.type)});
-  }
+  q->alias = exposed.name;
   graph_->set_root(select);
-  out.quantifier = q;
 
   Scope scope;
   scope.select_box = select;
-  scope.range_vars.push_back(
-      RangeVar{table.name, q, 0, table.schema.num_columns()});
   CteEnv env;
   ExprContext ctx;
   ctx.scope = &scope;
   ctx.env = &env;
-
-  if (where != nullptr) {
-    STARBURST_ASSIGN_OR_RETURN(out.predicate, BindExpr(*where, &ctx));
-    if (out.predicate->type.id != TypeId::kBool &&
-        out.predicate->type.id != TypeId::kNull) {
+  auto bind_where = [&](const ast::Expr& e) -> Status {
+    STARBURST_ASSIGN_OR_RETURN(ExprPtr bound, BindExpr(e, &ctx));
+    if (bound->type.id != TypeId::kBool && bound->type.id != TypeId::kNull) {
       return Status::TypeError("WHERE clause must be boolean");
     }
+    SplitConjuncts(std::move(bound), &select->predicates);
+    return Status::OK();
+  };
+  if (target.view_where != nullptr) {
+    // The view's own WHERE names base columns.
+    scope.range_vars = {
+        RangeVar{target.table->name, q, 0, schema.num_columns()}};
+    STARBURST_RETURN_IF_ERROR(bind_where(*target.view_where));
   }
+  scope.range_vars = {RangeVar{exposed.name, q, 0,
+                               exposed.schema.num_columns(),
+                               target.column_map ? &exposed.schema : nullptr,
+                               target.column_map}};
+  if (where != nullptr) STARBURST_RETURN_IF_ERROR(bind_where(*where));
+
+  select->head.push_back(HeadColumn{
+      "#RID", DataType::Int(),
+      MakeColumnRef(q, schema.rid_column(), DataType::Int())});
   if (assignments != nullptr) {
+    std::vector<ExprPtr> row;
+    for (size_t c = 0; c < schema.num_columns(); ++c) {
+      row.push_back(MakeColumnRef(q, c, schema.column(c).type));
+    }
     for (const auto& [col_name, value_expr] : *assignments) {
-      std::optional<size_t> pos = table.schema.FindColumn(col_name);
+      std::optional<size_t> pos = exposed.schema.FindColumn(col_name);
       if (!pos.has_value()) {
         return Status::SemanticError("no column '" + col_name + "' in table " +
-                                     table.name);
+                                     exposed.name);
       }
-      STARBURST_ASSIGN_OR_RETURN(ExprPtr bound, BindExpr(*value_expr, &ctx));
-      const DataType& target = table.schema.column(*pos).type;
-      STARBURST_RETURN_IF_ERROR(
-          UnifyTypes(target, bound->type, "SET " + col_name).status());
-      out.assignments.emplace_back(*pos, std::move(bound));
+      size_t base_col = target.column_map ? (*target.column_map)[*pos] : *pos;
+      STARBURST_ASSIGN_OR_RETURN(row[base_col], BindExpr(*value_expr, &ctx));
+      STARBURST_RETURN_IF_ERROR(UnifyTypes(schema.column(base_col).type,
+                                           row[base_col]->type,
+                                           "SET " + col_name)
+                                    .status());
+    }
+    for (size_t c = 0; c < schema.num_columns(); ++c) {
+      DataType type = row[c]->type;
+      select->head.push_back(
+          HeadColumn{schema.column(c).name, std::move(type), std::move(row[c])});
     }
   }
   STARBURST_RETURN_IF_ERROR(graph_->Validate());
   graph_ = nullptr;
-  return out;
+  return graph;
 }
 
 Result<Binder::StandaloneExprBind> Binder::BindConstantExpr(
@@ -798,8 +821,12 @@ Result<ExprPtr> Binder::ResolveInScope(Scope* scope,
     for (const RangeVar& rv : s->range_vars) {
       if (!qualifier.empty() && !IdentEquals(rv.alias, qualifier)) continue;
       for (size_t i = 0; i < rv.column_count; ++i) {
-        size_t col = rv.column_offset + i;
-        if (!IdentEquals(rv.quantifier->ColumnName(col), column)) continue;
+        size_t col = rv.view_map ? (*rv.view_map)[i] : rv.column_offset + i;
+        if (!IdentEquals(rv.view ? rv.view->column(i).name
+                                 : rv.quantifier->ColumnName(col),
+                         column)) {
+          continue;
+        }
         if (found != nullptr) {
           return Status::SemanticError("ambiguous column reference '" +
                                        (qualifier.empty()

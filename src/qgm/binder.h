@@ -31,18 +31,26 @@ class Binder {
   /// Graph::Validate().
   Result<std::unique_ptr<Graph>> BindQuery(const ast::Query& query);
 
-  /// Binding for UPDATE/DELETE: a predicate (and optional SET assignments)
-  /// over a single base table, for row-at-a-time evaluation by the engine.
-  struct TableMutationBind {
-    std::unique_ptr<Graph> graph;  // owns all boxes, incl. subquery boxes
-    Quantifier* quantifier = nullptr;  // ranges over the target table
-    ExprPtr predicate;                 // bound WHERE; null = all rows
-    /// (column position, bound value expression) pairs.
-    std::vector<std::pair<size_t, ExprPtr>> assignments;
+  /// The target of an UPDATE or DELETE: a stored table, named directly
+  /// or through an updatable view (§2).
+  struct MutationTarget {
+    const TableDef* table = nullptr;  // the stored table written
+    /// What the statement's column names bind against: `table` itself,
+    /// or the view's pseudo table, whose column i is base column
+    /// `(*column_map)[i]`.
+    const TableDef* exposed = nullptr;
+    const std::vector<size_t>* column_map = nullptr;  // null: identity
+    const ast::Expr* view_where = nullptr;  // the view's own WHERE
   };
-  Result<TableMutationBind> BindTableMutation(
-      const TableDef& table, const ast::Expr* where,
-      const std::vector<std::pair<std::string, const ast::Expr*>>* assignments);
+  /// Binds UPDATE/DELETE as the query "which RIDs, with which new
+  /// values": one SELECT box over the target's base table (a box of its
+  /// own, whose head carries the RID at TableSchema::rid_column()). Its
+  /// predicates are the statement's WHERE and the view's own WHERE; its
+  /// head is the RID, then for UPDATE (`assignments` non-null) the new
+  /// base row, unassigned columns passed through.
+  Result<std::unique_ptr<Graph>> BindTableMutation(
+      const MutationTarget& target, const ast::Expr* where,
+      const std::vector<std::pair<std::string, ast::ExprPtr>>* assignments);
 
   /// Binds a constant expression (INSERT ... VALUES items): no column
   /// references, no subqueries. The graph in the result owns nothing of
@@ -70,6 +78,11 @@ class Binder {
     Quantifier* quantifier = nullptr;
     size_t column_offset = 0;
     size_t column_count = 0;
+    /// A view's renaming of the quantifier's columns: visible column i
+    /// is named `view->column(i).name` and reads quantifier column
+    /// `(*view_map)[i]` (column_offset is then unused).
+    const TableSchema* view = nullptr;
+    const std::vector<size_t>* view_map = nullptr;
   };
 
   struct Scope {

@@ -100,9 +100,11 @@ Status Graph::Validate() const {
                                 h.name + "' has no defining expression");
       }
     }
-    // Head arity of leaf and set-operation boxes.
+    // Head arity of leaf and set-operation boxes. A DML target's base
+    // table box carries one more column: the RID at rid_column().
     if (box->kind == BoxKind::kBaseTable && box->table != nullptr &&
-        box->head.size() != box->table->schema.num_columns()) {
+        box->head.size() != box->table->schema.num_columns() &&
+        box->head.size() != box->table->schema.rid_column() + 1) {
       return Status::Internal("QGM: base table box " + box->Label() +
                               " head arity does not match the schema");
     }

@@ -47,6 +47,13 @@ struct Rid {
   bool operator<(const Rid& o) const {
     return page != o.page ? page < o.page : slot < o.slot;
   }
+
+  /// The RID as one INT (page above the 16 slot bits); integer order is
+  /// RID order. This is the value of a scan's RID column.
+  int64_t Encode() const { return (static_cast<int64_t>(page) << 16) | slot; }
+  static Rid Decode(int64_t v) {
+    return Rid{static_cast<PageNo>(v >> 16), static_cast<uint16_t>(v)};
+  }
 };
 
 /// The simulated disk: a set of page files. All pages live in memory; the

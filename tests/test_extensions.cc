@@ -135,6 +135,29 @@ TEST_F(ExtensionTest, RTreeMaintainedAcrossDeletes) {
       MustQuery("SELECT id FROM pts WHERE CONTAINS(loc, 0, 0, 3, 3)");
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0][0], Value::Int(2));
+
+  // A DELETE whose WHERE is a window reads its victims through the DBC's
+  // R-tree STAR, like any query.
+  std::string insert = "INSERT INTO pts VALUES ";
+  for (int i = 10; i < 210; ++i) {
+    if (i > 10) insert += ", ";
+    insert += "(" + std::to_string(i) + ", POINT(" + std::to_string(i) + ", " +
+              std::to_string(i) + "))";
+  }
+  ASSERT_TRUE(Exec(insert));
+  db_.options().collect_op_stats = true;
+  Result<ResultSet> deleted =
+      db_.Execute("DELETE FROM pts WHERE CONTAINS(loc, 0, 0, 15, 15)");
+  ASSERT_TRUE(deleted.ok()) << deleted.status().ToString();
+  EXPECT_EQ(deleted->affected_rows(), 7);  // ids 2 and 10..15
+  ASSERT_NE(db_.last_metrics().op_stats, nullptr);
+  EXPECT_NE(db_.last_metrics().op_stats->Render(/*with_actuals=*/true).find(
+                "RTREE_SCAN"),
+            std::string::npos);
+  EXPECT_TRUE(
+      MustQuery("SELECT id FROM pts WHERE CONTAINS(loc, 0, 0, 15, 15)")
+          .empty());
+  EXPECT_EQ(MustQuery("SELECT COUNT(*) FROM pts")[0][0], Value::Int(194));
 }
 
 TEST_F(ExtensionTest, RTreeRejectsNonPointColumns) {

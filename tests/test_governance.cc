@@ -243,6 +243,20 @@ class GovernanceTest : public ::testing::Test {
   static std::string SlowCountQuery() {
     return "SELECT COUNT(*) FROM t a, t b WHERE a.k + b.k >= 0";
   }
+  /// The slow statements the timeout and KILL checks run, each with the
+  /// registry text that finds it: SlowCountQuery, then a DELETE and an
+  /// UPDATE whose read side, left to finish, would touch every row (each
+  /// row's NOT EXISTS scans all of t, correlated on the unique id so the
+  /// subquery cache cannot help).
+  static std::vector<std::pair<std::string, std::string>> SlowStatements() {
+    return {{SlowCountQuery(), "COUNT(*)"},
+            {"DELETE FROM t WHERE NOT EXISTS "
+             "(SELECT 1 FROM t b WHERE b.k + t.id < 0)",
+             "DELETE FROM T"},
+            {"UPDATE t SET k = k + 1, payload = 'changed' WHERE NOT EXISTS "
+             "(SELECT 1 FROM t b WHERE b.k + t.id < 0)",
+             "UPDATE T SET"}};
+  }
   static std::string SlowSpillingSortQuery() {
     return "SELECT a.k, b.k FROM t a, t b "
            "WHERE a.id < 700 AND b.id < 700 ORDER BY a.k, b.k";
@@ -255,6 +269,13 @@ class GovernanceTest : public ::testing::Test {
     EXPECT_EQ(SpillFile::live_bytes(), 0u);
     EXPECT_EQ(db_.admission().stats().in_use_bytes, 0u);
     EXPECT_EQ(db_.statement_registry().live_count(), 0u);
+  }
+
+  /// Every row of t, in id order.
+  std::vector<Row> TableRows() {
+    Result<std::vector<Row>> rows = db_.Query("SELECT * FROM t ORDER BY id");
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    return rows.ok() ? rows.TakeValue() : std::vector<Row>{};
   }
 
   /// Latest finished-history status for a statement whose SQL contains
@@ -273,23 +294,28 @@ class GovernanceTest : public ::testing::Test {
 };
 
 TEST_F(GovernanceTest, StatementTimeoutReturnsTimeoutStatus) {
+  const std::vector<Row> before = TableRows();
   for (int parallelism : {1, 4}) {
-    Set("SET PARALLELISM = " + std::to_string(parallelism));
-    Set("SET STATEMENT_TIMEOUT_MS = 20");
-    auto start = std::chrono::steady_clock::now();
-    Result<ResultSet> r = db_.Execute(SlowCountQuery());
-    auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
-    Set("SET STATEMENT_TIMEOUT_MS = DEFAULT");
-    ASSERT_FALSE(r.ok()) << "parallelism " << parallelism;
-    EXPECT_EQ(r.status().code(), StatusCode::kTimeout)
-        << r.status().ToString();
-    // Cooperative checks land at batch boundaries: the statement dies
-    // orders of magnitude before the uncancelled runtime.
-    EXPECT_LT(elapsed, 5000) << "parallelism " << parallelism;
-    EXPECT_EQ(HistoryStatus("COUNT(*)"), "timeout");
-    ExpectNoResidue();
+    for (const auto& [sql, needle] : SlowStatements()) {
+      Set("SET PARALLELISM = " + std::to_string(parallelism));
+      Set("SET STATEMENT_TIMEOUT_MS = 20");
+      auto start = std::chrono::steady_clock::now();
+      Result<ResultSet> r = db_.Execute(sql);
+      auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+      Set("SET STATEMENT_TIMEOUT_MS = DEFAULT");
+      ASSERT_FALSE(r.ok()) << sql << " at parallelism " << parallelism;
+      EXPECT_EQ(r.status().code(), StatusCode::kTimeout)
+          << r.status().ToString();
+      // Cooperative checks land at batch boundaries: the statement dies
+      // orders of magnitude before the uncancelled runtime.
+      EXPECT_LT(elapsed, 5000) << sql << " at parallelism " << parallelism;
+      EXPECT_EQ(HistoryStatus(needle), "timeout") << sql;
+      // DML times out in its read phase, before the first write.
+      EXPECT_EQ(TableRows(), before) << sql;
+      ExpectNoResidue();
+    }
   }
 }
 
@@ -309,35 +335,42 @@ TEST_F(GovernanceTest, TimeoutDuringSpillingSortLeavesNoSpillFiles) {
 }
 
 TEST_F(GovernanceTest, KillFromAnotherThreadCancelsPromptly) {
+  const std::vector<Row> before = TableRows();
   for (int parallelism : {1, 4}) {
-    Set("SET PARALLELISM = " + std::to_string(parallelism));
-    Result<ResultSet> result = Status::Internal("not run");
-    std::thread worker(
-        [&] { result = db_.Execute(SlowCountQuery()); });
-    // Find the running statement and kill it through SQL.
-    int64_t victim = 0;
-    for (int spin = 0; spin < 2000 && victim == 0; ++spin) {
-      for (const StatementSnapshot& s : db_.statement_registry().Snapshot()) {
-        if (s.status == "running" &&
-            s.sql.find("COUNT(*)") != std::string::npos) {
-          victim = s.id;
-          break;
+    for (const auto& [sql, needle] : SlowStatements()) {
+      Set("SET PARALLELISM = " + std::to_string(parallelism));
+      Result<ResultSet> result = Status::Internal("not run");
+      std::thread worker([&, sql = sql] { result = db_.Execute(sql); });
+      // Find the running statement and kill it through SQL.
+      int64_t victim = 0;
+      for (int spin = 0; spin < 2000 && victim == 0; ++spin) {
+        for (const StatementSnapshot& s :
+             db_.statement_registry().Snapshot()) {
+          if (s.status == "running" &&
+              s.sql.find(needle) != std::string::npos) {
+            victim = s.id;
+            break;
+          }
+        }
+        if (victim == 0) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
       }
-      if (victim == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      ASSERT_NE(victim, 0) << sql << " never showed up in sys.statements";
+      Result<ResultSet> killed = db_.Execute("KILL " + std::to_string(victim));
+      worker.join();
+      // Either the KILL landed, or the statement finished first and KILL
+      // reported NotFound; with this table size the former is expected.
+      if (killed.ok()) {
+        ASSERT_FALSE(result.ok()) << sql;
+        EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
+            << result.status().ToString();
+        EXPECT_EQ(HistoryStatus(needle), "cancelled") << sql;
+        // A killed UPDATE or DELETE stopped in its read phase.
+        EXPECT_EQ(TableRows(), before) << sql;
+      }
+      ExpectNoResidue();
     }
-    ASSERT_NE(victim, 0) << "statement never showed up in sys.statements";
-    Result<ResultSet> killed = db_.Execute("KILL " + std::to_string(victim));
-    worker.join();
-    // Either the KILL landed, or the query finished first and KILL
-    // reported NotFound; with this table size the former is expected.
-    if (killed.ok()) {
-      ASSERT_FALSE(result.ok());
-      EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
-          << result.status().ToString();
-      EXPECT_EQ(HistoryStatus("COUNT(*)"), "cancelled");
-    }
-    ExpectNoResidue();
   }
 }
 

@@ -266,25 +266,65 @@ TEST_F(QgmTest, PrinterShowsAggregatesAndSetOps) {
 
 TEST_F(QgmTest, TableMutationBind) {
   qgm::Binder binder(&catalog_);
-  auto parsed = Parser::ParseQueryText("SELECT 1");
-  ASSERT_TRUE(parsed.ok());
   const TableDef* table = *catalog_.GetTable("inventory");
+  const size_t rid = table->schema.rid_column();
 
   Parser where_parser("UPDATE inventory SET onhand_qty = onhand_qty + 1 "
                       "WHERE type = 'CPU'");
   Result<ast::StatementPtr> stmt = where_parser.ParseStatement();
   ASSERT_TRUE(stmt.ok());
   const auto& update = static_cast<const ast::UpdateStatement&>(**stmt);
-  std::vector<std::pair<std::string, const ast::Expr*>> assignments;
-  for (const auto& [name, expr] : update.assignments) {
-    assignments.emplace_back(name, expr.get());
-  }
-  Result<qgm::Binder::TableMutationBind> bind =
-      binder.BindTableMutation(*table, update.where.get(), &assignments);
-  ASSERT_TRUE(bind.ok());
-  EXPECT_NE(bind->predicate, nullptr);
-  ASSERT_EQ(bind->assignments.size(), 1u);
-  EXPECT_EQ(bind->assignments[0].first, 1u);  // onhand_qty position
+  qgm::Binder::MutationTarget target;
+  target.table = table;
+  target.exposed = table;
+  Result<std::unique_ptr<qgm::Graph>> graph = binder.BindTableMutation(
+      target, update.where.get(), &update.assignments);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  // One SELECT box over the target's own base-table box, which carries
+  // the RID as an extra head column.
+  const qgm::Box* root = (*graph)->root();
+  EXPECT_EQ(root->kind, BoxKind::kSelect);
+  ASSERT_EQ(root->quantifiers.size(), 1u);
+  const qgm::Box* base = root->quantifiers[0]->input;
+  EXPECT_EQ(base->kind, BoxKind::kBaseTable);
+  EXPECT_EQ(base->head.size(), rid + 1);
+  EXPECT_EQ(root->predicates.size(), 1u);
+  // Head: the RID, then the new base row (only onhand_qty recomputed).
+  ASSERT_EQ(root->head.size(), 1 + table->schema.num_columns());
+  EXPECT_EQ(root->head[0].expr->kind, qgm::Expr::Kind::kColumnRef);
+  EXPECT_EQ(root->head[0].expr->column, rid);
+  EXPECT_EQ(root->head[1].expr->kind, qgm::Expr::Kind::kColumnRef);
+  EXPECT_EQ(root->head[2].expr->kind, qgm::Expr::Kind::kBinary);
+  EXPECT_EQ(root->head[3].expr->kind, qgm::Expr::Kind::kColumnRef);
+  EXPECT_EQ(root->head[3].expr->column, 2u);
+
+  // DELETE through a view that renames and reorders columns: the view's
+  // WHERE is conjoined, view names resolve through the column map, and
+  // the head is the RID alone.
+  TableDef pseudo;
+  pseudo.name = "stock";
+  pseudo.schema = TableSchema({{"qty", DataType::Int(), true},
+                               {"part", DataType::Int(), false}});
+  std::vector<size_t> column_map = {1, 0};
+  auto view_body = Parser::ParseQueryText(
+      "SELECT onhand_qty, partno FROM inventory WHERE type = 'CPU'");
+  ASSERT_TRUE(view_body.ok());
+  target.exposed = &pseudo;
+  target.column_map = &column_map;
+  target.view_where = (*view_body)->body->select->where.get();
+  Parser delete_parser("DELETE FROM stock WHERE qty < 5");
+  Result<ast::StatementPtr> del = delete_parser.ParseStatement();
+  ASSERT_TRUE(del.ok());
+  qgm::Binder view_binder(&catalog_);
+  graph = view_binder.BindTableMutation(
+      target, static_cast<const ast::DeleteStatement&>(**del).where.get(),
+      nullptr);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  root = (*graph)->root();
+  ASSERT_EQ(root->predicates.size(), 2u);
+  EXPECT_EQ(root->predicates[1]->children[0]->column, 1u);  // onhand_qty
+  ASSERT_EQ(root->head.size(), 1u);
+  EXPECT_EQ(root->head[0].expr->column, rid);
 }
 
 // ---------------------------------------------------------------------------

@@ -229,9 +229,8 @@ int main() {
       "sys.metrics),\n"
       "      \\querylog shows recent statements (also: sys.query_log), \\q "
       "quits\n"
-      "SET PLAN_CACHE_SIZE = <n> bounds the plan cache (0 disables)\n"
-      "SET STATEMENT_TIMEOUT_MS / ADMISSION_MEMORY / ADMISSION_WAIT_MS "
-      "govern statements;\n"
+      "SET <name> = <value> | DEFAULT changes a session setting "
+      "(list: SELECT * FROM sys.settings);\n"
       "      KILL <id> cancels a live statement (ids: SELECT * FROM "
       "sys.statements)\n");
 

@@ -183,13 +183,15 @@ Result<ResultSet> Database::ExecuteInternal(const std::string& sql) {
   obs::Span statement_span(&tracer_, "statement", "query");
   statement_span.AddArg("sql",
                         sql.size() > 120 ? sql.substr(0, 117) + "..." : sql);
-  // Plan-cache fast path: a fresh entry under (normalized SQL, session
-  // knobs) re-executes the compiled operator tree without touching the
-  // parser — the whole compile half of Figure 1 is skipped.
+  // Plan-cache fast path: a fresh entry for the normalized SQL compiled
+  // under equal session options re-executes the compiled operator tree
+  // without touching the parser — the whole compile half of Figure 1 is
+  // skipped.
   std::string cache_key;
   if (plan_cache_.capacity() > 0) {
-    cache_key = PlanCacheKey(sql);
-    if (PreparedStatementPtr hit = plan_cache_.Lookup(cache_key, catalog_)) {
+    cache_key = NormalizeSql(sql);
+    if (PreparedStatementPtr hit =
+            plan_cache_.Lookup(cache_key, options_, catalog_)) {
       if (hit->num_params > 0) {
         return Status::InvalidArgument(
             "statement contains ? parameters; supply values through "
@@ -254,8 +256,9 @@ Result<Database::PreparedHandle> Database::Prepare(const std::string& sql) {
   obs::Span statement_span(&tracer_, "prepare", "query");
   std::string cache_key;
   if (plan_cache_.capacity() > 0) {
-    cache_key = PlanCacheKey(sql);
-    if (PreparedStatementPtr hit = plan_cache_.Lookup(cache_key, catalog_)) {
+    cache_key = NormalizeSql(sql);
+    if (PreparedStatementPtr hit =
+            plan_cache_.Lookup(cache_key, options_, catalog_)) {
       stmt_state().metrics.plan_cache_hit = true;
       SnapshotPlanCacheMetrics();
       return hit;
@@ -287,29 +290,16 @@ namespace {
 
 /// Swaps in a freshly compiled artifact under an existing handle. Old
 /// execution state is torn down first, top of the reference chain first
-/// (operators → plan → optimizer → graph), so nothing dangles mid-swap.
+/// (operators → plan → optimizer → graph), so nothing dangles mid-swap;
+/// then every field but the statement text comes from `src`.
 void ReplaceCompiled(PreparedStatement& dst, PreparedStatement&& src) {
   dst.root.reset();
   dst.stats_tree.reset();
   dst.plan.reset();
   dst.optimizer.reset();
   dst.graph.reset();
-  dst.graph = std::move(src.graph);
-  dst.optimizer = std::move(src.optimizer);
-  dst.plan = std::move(src.plan);
-  dst.stats_tree = std::move(src.stats_tree);
-  dst.root = std::move(src.root);
-  dst.num_params = src.num_params;
-  dst.column_names = std::move(src.column_names);
-  dst.visible_columns = src.visible_columns;
-  dst.hidden_order_columns = src.hidden_order_columns;
-  dst.batch_size = src.batch_size;
-  dst.reserve_hint = src.reserve_hint;
-  dst.parallelism = src.parallelism;
-  dst.plan_cost = src.plan_cost;
-  dst.plan_cardinality = src.plan_cardinality;
-  dst.catalog_version = src.catalog_version;
-  dst.dependencies = std::move(src.dependencies);
+  src.sql = std::move(dst.sql);
+  dst = std::move(src);
 }
 
 }  // namespace
@@ -359,42 +349,6 @@ Result<ResultSet> Database::ExecutePrepared(const PreparedHandle& handle,
 void Database::SnapshotPlanCacheMetrics() {
   stmt_state().metrics.plan_cache = plan_cache_.stats();
   stmt_state().metrics.plan_cache_entries = plan_cache_.size();
-}
-
-std::string Database::KnobFingerprint() const {
-  const SessionOptions& o = options_;
-  std::string fp;
-  auto add = [&fp](const std::string& v) {
-    fp += v;
-    fp += ',';
-  };
-  add(std::to_string(o.rewrite_enabled));
-  add(std::to_string(static_cast<int>(o.rewrite.control)));
-  add(std::to_string(static_cast<int>(o.rewrite.search)));
-  add(std::to_string(o.rewrite.budget));
-  add(std::to_string(o.rewrite.seed));
-  add(std::to_string(o.rewrite.paranoid_validation));
-  for (const std::string& c : o.rewrite.enabled_classes) add(c);
-  add(std::to_string(o.optimizer.materialize_shared));
-  add(std::to_string(static_cast<int>(o.exec.cache_mode)));
-  add(std::to_string(o.exec.ship_delay_us));
-  add(std::to_string(o.exec.semi_naive_recursion));
-  add(std::to_string(o.exec.parallelism));
-  add(std::to_string(o.exec.parallel_min_rows));
-  add(std::to_string(o.exec.batch_size));
-  add(std::to_string(o.exec.vectorize));
-  add(std::to_string(o.exec.sort_memory_bytes));
-  add(std::to_string(o.exec.agg_memory_bytes));
-  add(std::to_string(o.exec.query_memory_bytes));
-  // Stats-collecting sessions refine stats-instrumented trees; lean
-  // sessions must not inherit (or shed) that instrumentation via cache.
-  add(std::to_string(o.collect_op_stats));
-  // Workload classification is stamped into the compiled plan, so the
-  // priority override and the fast/slow thresholds key the cache too.
-  add(std::to_string(statement_priority_));
-  add(std::to_string(slow_plan_cost_));
-  add(std::to_string(slow_plan_rows_));
-  return fp;
 }
 
 Result<std::vector<Row>> Database::Query(const std::string& sql) {
@@ -450,202 +404,142 @@ Result<ResultSet> Database::ExecuteStatement(const ast::Statement& stmt,
   return Status::Internal("unknown statement kind");
 }
 
+/// One `SET` knob as data. Values travel as integers; a
+/// STATEMENT_PRIORITY value is −1 for DEFAULT, else a StatementPriority
+/// index.
+struct Database::Setting {
+  enum class Kind { kNumber, kBool, kPriority };
+  const char* name;
+  Kind kind;
+  const char* unit;
+  int64_t min;           // smallest number accepted
+  int64_t def;           // what DEFAULT sets
+  bool zero_is_default;  // 0 sets `def` too
+  int64_t (*get)(const Database&);
+  void (*set)(Database&, int64_t);
+};
+
+namespace {
+
+constexpr const char* kPriorityWords[] = {"HIGH", "NORMAL", "LOW"};
+
+}  // namespace
+
+std::span<const Database::Setting> Database::Settings() {
+  using D = Database;
+  using K = Setting::Kind;
+  // Memory knobs take bytes (the parser accepts KB/MB/GB suffixes); for
+  // them, for the deadlines and for SLOW_QUERY_US, 0 means off.
+  static const Setting kTable[] = {
+      {"STATEMENT_PRIORITY", K::kPriority, "class", -1, -1, false,
+       [](const D& db) -> int64_t { return db.options_.statement_priority; },
+       [](D& db, int64_t v) { db.options_.statement_priority = v; }},
+      {"PARALLELISM", K::kNumber, "workers", 0,
+       static_cast<int64_t>(exec::ExecOptions::DefaultParallelism()), true,
+       [](const D& db) -> int64_t { return db.options_.exec.parallelism; },
+       [](D& db, int64_t v) { db.options_.exec.parallelism = v; }},
+      {"PARALLEL_MIN_ROWS", K::kNumber, "rows", 0,
+       static_cast<int64_t>(exec::ExecOptions{}.parallel_min_rows), false,
+       [](const D& db) -> int64_t {
+         return db.options_.exec.parallel_min_rows;
+       },
+       [](D& db, int64_t v) { db.options_.exec.parallel_min_rows = v; }},
+      {"BATCH_SIZE", K::kNumber, "rows", 1, RowBatch::kDefaultCapacity, false,
+       [](const D& db) -> int64_t { return db.options_.exec.batch_size; },
+       [](D& db, int64_t v) { db.options_.exec.batch_size = v; }},
+      {"VECTORIZE", K::kBool, "0/1", 0, 1, false,
+       [](const D& db) -> int64_t { return db.options_.exec.vectorize; },
+       [](D& db, int64_t v) { db.options_.exec.vectorize = v == 1; }},
+      {"SORT_MEMORY", K::kNumber, "bytes", 0, 0, false,
+       [](const D& db) -> int64_t {
+         return db.options_.exec.sort_memory_bytes;
+       },
+       [](D& db, int64_t v) { db.options_.exec.sort_memory_bytes = v; }},
+      {"AGG_MEMORY", K::kNumber, "bytes", 0, 0, false,
+       [](const D& db) -> int64_t {
+         return db.options_.exec.agg_memory_bytes;
+       },
+       [](D& db, int64_t v) { db.options_.exec.agg_memory_bytes = v; }},
+      {"QUERY_MEMORY", K::kNumber, "bytes", 0, 0, false,
+       [](const D& db) -> int64_t {
+         return db.options_.exec.query_memory_bytes;
+       },
+       [](D& db, int64_t v) { db.options_.exec.query_memory_bytes = v; }},
+      {"PLAN_CACHE_SIZE", K::kNumber, "plans", 0, PlanCache::kDefaultCapacity,
+       false, [](const D& db) -> int64_t { return db.plan_cache_.capacity(); },
+       [](D& db, int64_t v) { db.plan_cache_.set_capacity(v); }},
+      {"SLOW_QUERY_US", K::kNumber, "us", 0, 0, false,
+       [](const D& db) -> int64_t { return db.slow_query_us_; },
+       [](D& db, int64_t v) { db.slow_query_us_ = v; }},
+      {"TRACE_BUFFER", K::kNumber, "events", 0, obs::Tracer::kDefaultCapacity,
+       false, [](const D& db) -> int64_t { return db.tracer_.capacity(); },
+       [](D& db, int64_t v) { db.tracer_.set_capacity(v); }},
+      {"STATEMENT_TIMEOUT_MS", K::kNumber, "ms", 0, 0, false,
+       [](const D& db) -> int64_t { return db.statement_timeout_ms_; },
+       [](D& db, int64_t v) { db.statement_timeout_ms_ = v; }},
+      {"ADMISSION_MEMORY", K::kNumber, "bytes", 0, 0, false,
+       [](const D& db) -> int64_t { return db.admission_.budget(); },
+       [](D& db, int64_t v) { db.admission_.SetBudget(v); }},
+      {"ADMISSION_WAIT_MS", K::kNumber, "ms", 0, 0, false,
+       [](const D& db) -> int64_t { return db.admission_.max_wait_ms(); },
+       [](D& db, int64_t v) { db.admission_.SetMaxWaitMs(v); }},
+      {"ADMISSION_AGING_MS", K::kNumber, "ms", 0,
+       AdmissionController::kDefaultAgingMs, false,
+       [](const D& db) -> int64_t { return db.admission_.aging_ms(); },
+       [](D& db, int64_t v) { db.admission_.SetAgingMs(v); }},
+      {"SLOW_PLAN_COST", K::kNumber, "cost", 0,
+       static_cast<int64_t>(kDefaultSlowPlanCost), false,
+       [](const D& db) -> int64_t { return db.options_.slow_plan_cost; },
+       [](D& db, int64_t v) { db.options_.slow_plan_cost = v; }},
+      {"SLOW_PLAN_ROWS", K::kNumber, "rows", 0,
+       static_cast<int64_t>(kDefaultSlowPlanRows), false,
+       [](const D& db) -> int64_t { return db.options_.slow_plan_rows; },
+       [](D& db, int64_t v) { db.options_.slow_plan_rows = v; }},
+  };
+  return kTable;
+}
+
+std::string Database::SettingText(const Setting& setting, int64_t v) {
+  if (setting.kind != Setting::Kind::kPriority) return std::to_string(v);
+  return v < 0 ? "DEFAULT" : kPriorityWords[v];
+}
+
 Result<ResultSet> Database::RunSet(const ast::SetStatement& stmt) {
-  if (stmt.name == "STATEMENT_PRIORITY") {
-    // Scheduling-class override for subsequent SELECTs. DEFAULT derives
-    // the class from the plan's fast/slow classification. Participates
-    // in KnobFingerprint(): the priority is stamped into compiled plans.
-    if (stmt.is_default) {
-      statement_priority_ = -1;
-      return ResultSet::Message("SET STATEMENT_PRIORITY = DEFAULT");
-    }
-    if (stmt.ident_value == "HIGH") {
-      statement_priority_ = static_cast<int>(StatementPriority::kHigh);
-    } else if (stmt.ident_value == "NORMAL") {
-      statement_priority_ = static_cast<int>(StatementPriority::kNormal);
-    } else if (stmt.ident_value == "LOW") {
-      statement_priority_ = static_cast<int>(StatementPriority::kLow);
-    } else {
-      return Status::SemanticError(
-          "STATEMENT_PRIORITY must be HIGH, NORMAL, LOW, or DEFAULT");
-    }
-    return ResultSet::Message("SET STATEMENT_PRIORITY = " + stmt.ident_value);
+  std::span<const Setting> table = Settings();
+  auto it = std::find_if(table.begin(), table.end(), [&](const Setting& s) {
+    return stmt.name == s.name;
+  });
+  if (it == table.end()) {
+    return Status::SemanticError("unknown session option '" + stmt.name + "'");
   }
-  if (!stmt.ident_value.empty()) {
-    // Every other option takes a number (or DEFAULT); catching a stray
-    // word here keeps e.g. `SET BATCH_SIZE = HIGH` from silently
-    // assigning zero.
+  const Setting& s = *it;
+  int64_t v = stmt.value;
+  if (stmt.is_default) {
+    v = s.def;
+  } else if (s.kind == Setting::Kind::kPriority) {
+    const auto* word = std::find(std::begin(kPriorityWords),
+                                 std::end(kPriorityWords), stmt.ident_value);
+    if (word == std::end(kPriorityWords)) {
+      return Status::SemanticError(stmt.name +
+                                   " must be HIGH, NORMAL, LOW, or DEFAULT");
+    }
+    v = word - std::begin(kPriorityWords);
+  } else if (!stmt.ident_value.empty()) {
+    // Catching a stray word keeps e.g. `SET BATCH_SIZE = HIGH` from
+    // silently assigning zero.
     return Status::SemanticError("option '" + stmt.name +
                                  "' takes a numeric value, not '" +
                                  stmt.ident_value + "'");
+  } else if (s.kind == Setting::Kind::kBool && v != 0 && v != 1) {
+    return Status::SemanticError(stmt.name + " must be 0 or 1");
+  } else if (v < s.min) {
+    return Status::SemanticError(stmt.name + " must be >= " +
+                                 std::to_string(s.min));
+  } else if (v == 0 && s.zero_is_default) {
+    v = s.def;
   }
-  if (stmt.name == "PARALLELISM") {
-    // 0 and DEFAULT both restore the hardware default.
-    if (stmt.value < 0) {
-      return Status::SemanticError("PARALLELISM must be >= 0");
-    }
-    size_t n = stmt.is_default || stmt.value == 0
-                   ? exec::ExecOptions::DefaultParallelism()
-                   : static_cast<size_t>(stmt.value);
-    options_.exec.parallelism = n;
-    return ResultSet::Message("SET PARALLELISM = " + std::to_string(n));
-  }
-  if (stmt.name == "PARALLEL_MIN_ROWS") {
-    if (!stmt.is_default && stmt.value < 0) {
-      return Status::SemanticError("PARALLEL_MIN_ROWS must be >= 0");
-    }
-    double rows = stmt.is_default ? exec::ExecOptions{}.parallel_min_rows
-                                  : static_cast<double>(stmt.value);
-    options_.exec.parallel_min_rows = rows;
-    return ResultSet::Message("SET PARALLEL_MIN_ROWS = " +
-                              std::to_string(static_cast<int64_t>(rows)));
-  }
-  if (stmt.name == "BATCH_SIZE") {
-    // 1 pins exact row-at-a-time execution (differential testing);
-    // DEFAULT restores the vectorized default (1024).
-    if (!stmt.is_default && stmt.value < 1) {
-      return Status::SemanticError("BATCH_SIZE must be >= 1");
-    }
-    size_t n = stmt.is_default ? RowBatch::kDefaultCapacity
-                               : static_cast<size_t>(stmt.value);
-    options_.exec.batch_size = n;
-    return ResultSet::Message("SET BATCH_SIZE = " + std::to_string(n));
-  }
-  if (stmt.name == "VECTORIZE") {
-    // 0 pins every expression site to the row-at-a-time interpreter (the
-    // differential-testing reference); DEFAULT restores kernel compilation.
-    if (!stmt.is_default && stmt.value != 0 && stmt.value != 1) {
-      return Status::SemanticError("VECTORIZE must be 0 or 1");
-    }
-    bool on = stmt.is_default || stmt.value == 1;
-    options_.exec.vectorize = on;
-    return ResultSet::Message("SET VECTORIZE = " + std::to_string(on ? 1 : 0));
-  }
-  // Memory-governance knobs (bytes; parser accepts KB/MB/GB suffixes).
-  // 0 and DEFAULT both mean unlimited.
-  auto memory_knob = [&](const char* name,
-                         uint64_t* slot) -> Result<ResultSet> {
-    if (!stmt.is_default && stmt.value < 0) {
-      return Status::SemanticError(std::string(name) + " must be >= 0");
-    }
-    uint64_t bytes =
-        stmt.is_default ? 0 : static_cast<uint64_t>(stmt.value);
-    *slot = bytes;
-    return ResultSet::Message("SET " + std::string(name) + " = " +
-                              std::to_string(bytes));
-  };
-  if (stmt.name == "SORT_MEMORY") {
-    return memory_knob("SORT_MEMORY", &options_.exec.sort_memory_bytes);
-  }
-  if (stmt.name == "AGG_MEMORY") {
-    return memory_knob("AGG_MEMORY", &options_.exec.agg_memory_bytes);
-  }
-  if (stmt.name == "QUERY_MEMORY") {
-    return memory_knob("QUERY_MEMORY", &options_.exec.query_memory_bytes);
-  }
-  if (stmt.name == "PLAN_CACHE_SIZE") {
-    // 0 disables plan caching entirely (and clears resident entries);
-    // DEFAULT restores the default capacity.
-    if (!stmt.is_default && stmt.value < 0) {
-      return Status::SemanticError("PLAN_CACHE_SIZE must be >= 0");
-    }
-    size_t n = stmt.is_default ? PlanCache::kDefaultCapacity
-                               : static_cast<size_t>(stmt.value);
-    plan_cache_.set_capacity(n);
-    return ResultSet::Message("SET PLAN_CACHE_SIZE = " + std::to_string(n));
-  }
-  // Observability knobs. Neither affects what compilation produces, so
-  // neither participates in KnobFingerprint().
-  if (stmt.name == "SLOW_QUERY_US") {
-    // Statements at or above the threshold are flagged in sys.query_log
-    // and emit a trace instant. 0 and DEFAULT both disable flagging.
-    if (!stmt.is_default && stmt.value < 0) {
-      return Status::SemanticError("SLOW_QUERY_US must be >= 0");
-    }
-    uint64_t us = stmt.is_default ? 0 : static_cast<uint64_t>(stmt.value);
-    slow_query_us_ = us;
-    return ResultSet::Message("SET SLOW_QUERY_US = " + std::to_string(us));
-  }
-  if (stmt.name == "TRACE_BUFFER") {
-    // Capacity of the tracer's event ring; DEFAULT restores 8192.
-    // Shrinking discards the oldest events (they count as dropped).
-    if (!stmt.is_default && stmt.value < 0) {
-      return Status::SemanticError("TRACE_BUFFER must be >= 0");
-    }
-    size_t n = stmt.is_default ? obs::Tracer::kDefaultCapacity
-                               : static_cast<size_t>(stmt.value);
-    tracer_.set_capacity(n);
-    return ResultSet::Message("SET TRACE_BUFFER = " + std::to_string(n));
-  }
-  // Governance knobs. None affects what compilation produces, so none
-  // participates in KnobFingerprint().
-  if (stmt.name == "STATEMENT_TIMEOUT_MS") {
-    // Deadline armed for every subsequent statement; 0 and DEFAULT both
-    // disable it.
-    if (!stmt.is_default && stmt.value < 0) {
-      return Status::SemanticError("STATEMENT_TIMEOUT_MS must be >= 0");
-    }
-    statement_timeout_ms_ = stmt.is_default ? 0 : stmt.value;
-    return ResultSet::Message("SET STATEMENT_TIMEOUT_MS = " +
-                              std::to_string(statement_timeout_ms_));
-  }
-  if (stmt.name == "ADMISSION_MEMORY") {
-    // Global admission budget (bytes; KB/MB/GB suffixes accepted). 0 and
-    // DEFAULT both turn admission off.
-    if (!stmt.is_default && stmt.value < 0) {
-      return Status::SemanticError("ADMISSION_MEMORY must be >= 0");
-    }
-    uint64_t bytes = stmt.is_default ? 0 : static_cast<uint64_t>(stmt.value);
-    admission_.SetBudget(bytes);
-    return ResultSet::Message("SET ADMISSION_MEMORY = " +
-                              std::to_string(bytes));
-  }
-  if (stmt.name == "ADMISSION_WAIT_MS") {
-    // How long a statement may queue for admission; 0 and DEFAULT both
-    // mean fail fast. Already-queued waiters re-read this on wake.
-    if (!stmt.is_default && stmt.value < 0) {
-      return Status::SemanticError("ADMISSION_WAIT_MS must be >= 0");
-    }
-    int64_t ms = stmt.is_default ? 0 : stmt.value;
-    admission_.SetMaxWaitMs(ms);
-    return ResultSet::Message("SET ADMISSION_WAIT_MS = " +
-                              std::to_string(ms));
-  }
-  if (stmt.name == "ADMISSION_AGING_MS") {
-    // Anti-starvation: queued time per class promotion. 0 disables
-    // aging; DEFAULT restores one promotion per second.
-    if (!stmt.is_default && stmt.value < 0) {
-      return Status::SemanticError("ADMISSION_AGING_MS must be >= 0");
-    }
-    int64_t ms =
-        stmt.is_default ? AdmissionController::kDefaultAgingMs : stmt.value;
-    admission_.SetAgingMs(ms);
-    return ResultSet::Message("SET ADMISSION_AGING_MS = " +
-                              std::to_string(ms));
-  }
-  // Classification thresholds; both participate in KnobFingerprint()
-  // (the fast/slow class is stamped into compiled plans).
-  if (stmt.name == "SLOW_PLAN_COST") {
-    if (!stmt.is_default && stmt.value < 0) {
-      return Status::SemanticError("SLOW_PLAN_COST must be >= 0");
-    }
-    slow_plan_cost_ = stmt.is_default ? kDefaultSlowPlanCost
-                                      : static_cast<double>(stmt.value);
-    return ResultSet::Message(
-        "SET SLOW_PLAN_COST = " +
-        std::to_string(static_cast<int64_t>(slow_plan_cost_)));
-  }
-  if (stmt.name == "SLOW_PLAN_ROWS") {
-    if (!stmt.is_default && stmt.value < 0) {
-      return Status::SemanticError("SLOW_PLAN_ROWS must be >= 0");
-    }
-    slow_plan_rows_ = stmt.is_default ? kDefaultSlowPlanRows
-                                      : static_cast<double>(stmt.value);
-    return ResultSet::Message(
-        "SET SLOW_PLAN_ROWS = " +
-        std::to_string(static_cast<int64_t>(slow_plan_rows_)));
-  }
-  return Status::SemanticError("unknown session option '" + stmt.name + "'");
+  s.set(*this, v);
+  return ResultSet::Message("SET " + stmt.name + " = " + SettingText(s, v));
 }
 
 Result<ResultSet> Database::RunKill(const ast::KillStatement& stmt) {
@@ -691,6 +585,7 @@ Result<PreparedStatementPtr> Database::CompileSelect(const ast::Query& query,
 Result<PreparedStatementPtr> Database::CompileBound(
     std::unique_ptr<qgm::Graph> bound, PipelineCapture* capture) {
   auto ps = std::make_shared<PreparedStatement>();
+  ps->options = options_;
   ps->graph = std::move(bound);
   qgm::Graph* graph = ps->graph.get();
   ps->num_params = graph->num_params;
@@ -740,11 +635,11 @@ Result<PreparedStatementPtr> Database::CompileBound(
   // above either threshold is expected to run long. Under
   // STATEMENT_PRIORITY = DEFAULT that demotes it to low priority, so
   // interactive statements are admitted and scheduled ahead of it.
-  ps->slow_class = plan->props.cost >= slow_plan_cost_ ||
-                   plan->props.cardinality >= slow_plan_rows_;
+  ps->slow_class = plan->props.cost >= options_.slow_plan_cost ||
+                   plan->props.cardinality >= options_.slow_plan_rows;
   ps->priority =
-      statement_priority_ >= 0
-          ? statement_priority_
+      options_.statement_priority >= 0
+          ? options_.statement_priority
           : static_cast<int>(ps->slow_class ? StatementPriority::kLow
                                             : StatementPriority::kNormal);
   optimize_span.End();
@@ -1718,6 +1613,7 @@ void Database::RegisterSystemTables() {
   manager->RegisterTable("sys.query_log", [this] { return QueryLogRows(); });
   manager->RegisterTable("sys.plan_cache", [this] { return PlanCacheRows(); });
   manager->RegisterTable("sys.statements", [this] { return StatementRows(); });
+  manager->RegisterTable("sys.settings", [this] { return SettingsRows(); });
   Status registered = storage_.storage_managers().Register(std::move(manager));
   (void)registered;  // fresh registry: "SYSTEM" cannot collide
 
@@ -1787,6 +1683,12 @@ void Database::RegisterSystemTables() {
   pcache.AddColumn(ColumnDef{"catalog_version", DataType::Int(), false});
   pcache.AddColumn(ColumnDef{"fresh", DataType::Int(), false});
   define("sys.plan_cache", std::move(pcache));
+
+  TableSchema settings;
+  for (const char* column : {"name", "value", "default_value", "unit"}) {
+    settings.AddColumn(ColumnDef{column, DataType::String(), false});
+  }
+  define("sys.settings", std::move(settings));
 }
 
 std::vector<Row> Database::MetricsRows() {
@@ -1832,14 +1734,22 @@ std::vector<Row> Database::StatementRows() const {
   return rows;
 }
 
+std::vector<Row> Database::SettingsRows() const {
+  std::vector<Row> rows;
+  for (const Setting& s : Settings()) {
+    rows.push_back(Row({Value::String(s.name),
+                        Value::String(SettingText(s, s.get(*this))),
+                        Value::String(SettingText(s, s.def)),
+                        Value::String(s.unit)}));
+  }
+  return rows;
+}
+
 std::vector<Row> Database::PlanCacheRows() const {
   std::vector<Row> rows;
   int64_t position = 0;  // 0 = most recently used
-  for (const auto& [key, ps] : plan_cache_.Entries()) {
-    // The cache key is `normalized SQL \x1f knob fingerprint`; expose
-    // only the SQL half.
-    std::string sql = key.substr(0, key.find('\x1f'));
-    rows.push_back(Row({Value::Int(position++), Value::String(std::move(sql)),
+  for (const auto& [sql, ps] : plan_cache_.Entries()) {
+    rows.push_back(Row({Value::Int(position++), Value::String(sql),
                         Value::Int(static_cast<int64_t>(ps->num_params)),
                         Value::Double(ps->plan_cost),
                         Value::Double(ps->plan_cardinality),

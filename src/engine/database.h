@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "engine/plan_cache.h"
 #include "engine/statement_registry.h"
 #include "engine/result_set.h"
+#include "engine/session_options.h"
 #include "exec/executor.h"
 #include "obs/metrics.h"
 #include "obs/op_stats.h"
@@ -78,27 +80,11 @@ struct QueryMetrics {
 ///   * RegisterStar() — optimizer strategy alternative rules.
 class Database {
  public:
-  struct SessionOptions {
-    bool rewrite_enabled = true;  // Figure 1: "could be bypassed"
-    rewrite::RuleEngine::Options rewrite;
-    optimizer::Optimizer::Options optimizer;
-    exec::ExecOptions exec;
-    /// Collect per-operator runtime stats for every query (EXPLAIN
-    /// ANALYZE collects regardless). Costs two clock reads per operator
-    /// invocation.
-    bool collect_op_stats = false;
-  };
-
-  /// Default fast/slow classification thresholds (`SET SLOW_PLAN_COST`,
-  /// `SET SLOW_PLAN_ROWS`): a SELECT whose chosen plan's cost or
-  /// cardinality estimate reaches either is classified "slow" and, under
-  /// STATEMENT_PRIORITY = DEFAULT, scheduled at low priority. The cost
-  /// bar corresponds to a few hundred thousand rows flowing through the
-  /// optimizer's cost model (point lookups land around 10^1-10^2); the
-  /// rows bar catches wide result sets whose root estimate survives
-  /// aggregation.
-  static constexpr double kDefaultSlowPlanCost = 1e4;
-  static constexpr double kDefaultSlowPlanRows = 1e5;
+  using SessionOptions = starburst::SessionOptions;
+  static constexpr double kDefaultSlowPlanCost =
+      SessionOptions::kDefaultSlowPlanCost;
+  static constexpr double kDefaultSlowPlanRows =
+      SessionOptions::kDefaultSlowPlanRows;
 
   explicit Database(size_t buffer_pool_pages = 4096);
 
@@ -106,8 +92,8 @@ class Database {
   Database& operator=(const Database&) = delete;
 
   /// Executes one statement (query, DDL, or DML). SELECTs are
-  /// transparently cached: re-executing the same text under the same
-  /// session knobs reuses the compiled plan (see plan_cache()).
+  /// transparently cached: re-executing the same text under equal
+  /// session options reuses the compiled plan (see plan_cache()).
   Result<ResultSet> Execute(const std::string& sql);
   /// Executes a ';'-separated script, returning the last result.
   Result<ResultSet> ExecuteScript(const std::string& sql);
@@ -234,11 +220,13 @@ class Database {
   std::vector<Row> QueryLogRows() const;
   std::vector<Row> PlanCacheRows() const;
   std::vector<Row> StatementRows() const;
+  std::vector<Row> SettingsRows() const;
   /// Clear error for any DDL/DML aimed at the reserved sys schema.
   Status RejectSystemTarget(const std::string& name, const char* verb) const;
 
-  /// `cache_key` is non-empty only for single statements arriving through
-  /// Execute with caching enabled; a compiled SELECT is inserted under it.
+  /// `cache_key` (the normalized SQL) is non-empty only for single
+  /// statements arriving through Execute with caching enabled; a compiled
+  /// SELECT is inserted under it.
   Result<ResultSet> ExecuteStatement(const ast::Statement& stmt,
                                      const std::string& cache_key = {});
   Result<ResultSet> RunSelect(const ast::Query& query,
@@ -253,6 +241,12 @@ class Database {
   Result<ResultSet> RunCreateTable(const ast::CreateTableStatement& stmt);
   Result<ResultSet> RunCreateIndex(const ast::CreateIndexStatement& stmt);
   Result<ResultSet> RunCreateView(const ast::CreateViewStatement& stmt);
+  /// One `SET` knob (the table is in database.cc); `sys.settings` lists
+  /// them in table order.
+  struct Setting;
+  static std::span<const Setting> Settings();
+  /// The text `SET` echoes for value `v` of `setting`.
+  static std::string SettingText(const Setting& setting, int64_t v);
   Result<ResultSet> RunSet(const ast::SetStatement& stmt);
   Result<ResultSet> RunKill(const ast::KillStatement& stmt);
   Result<ResultSet> RunInsert(const ast::InsertStatement& stmt);
@@ -292,13 +286,6 @@ class Database {
   /// fresh ExecContext (binding `params` when given) and drains it.
   Result<QueryOutput> ExecuteCompiled(PreparedStatement& ps,
                                       const std::vector<Value>* params);
-  /// The session-knob half of a plan-cache key: every SET knob that
-  /// changes what compilation produces. Knob changes key-miss rather
-  /// than invalidate.
-  std::string KnobFingerprint() const;
-  std::string PlanCacheKey(const std::string& sql) const {
-    return NormalizeSql(sql) + '\x1f' + KnobFingerprint();
-  }
   void SnapshotPlanCacheMetrics();
   /// Names of views whose bodies (transitively) reference the object
   /// `dep_key` ("T:NAME" / "V:NAME"), excluding `dep_key` itself.
@@ -358,13 +345,6 @@ class Database {
   /// touch at destruction, so its position among the members is free.
   exec::parallel::TaskScheduler scheduler_{0};
   int64_t statement_timeout_ms_ = 0;  // 0 = no deadline
-  /// SET STATEMENT_PRIORITY: −1 = DEFAULT (derive from the plan's
-  /// fast/slow class), else a StatementPriority index.
-  int statement_priority_ = -1;
-  /// Fast/slow classification thresholds (SET SLOW_PLAN_COST /
-  /// SLOW_PLAN_ROWS): a plan at or above either estimate is "slow".
-  double slow_plan_cost_ = kDefaultSlowPlanCost;
-  double slow_plan_rows_ = kDefaultSlowPlanRows;
 
   obs::MetricsRegistry metrics_registry_;
   obs::QueryLog query_log_;

@@ -1,6 +1,7 @@
 #include "engine/plan_cache.h"
 
 #include <cctype>
+#include <iterator>
 
 namespace starburst {
 
@@ -21,8 +22,7 @@ void PlanCache::set_capacity(size_t n) {
     return;
   }
   while (lru_.size() > capacity_) {
-    entries_.erase(lru_.back().key);
-    lru_.pop_back();
+    Erase(std::prev(lru_.end()));
     ++stats_.evictions;
   }
 }
@@ -33,15 +33,29 @@ void PlanCache::Clear() {
   entries_.clear();
 }
 
-PreparedStatementPtr PlanCache::Lookup(const std::string& key,
+std::unordered_multimap<std::string, PlanCache::Lru::iterator>::iterator
+PlanCache::Find(const std::string& sql, const SessionOptions& options) {
+  auto [it, end] = entries_.equal_range(sql);
+  while (it != end && !(it->second->stmt->options == options)) ++it;
+  return it == end ? entries_.end() : it;
+}
+
+void PlanCache::Erase(Lru::iterator pos) {
+  auto [it, end] = entries_.equal_range(pos->sql);
+  while (it->second != pos) ++it;
+  entries_.erase(it);
+  lru_.erase(pos);
+}
+
+PreparedStatementPtr PlanCache::Lookup(const std::string& sql,
+                                       const SessionOptions& options,
                                        const Catalog& catalog) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(key);
+  auto it = Find(sql, options);
   if (it == entries_.end()) return nullptr;
   PreparedStatementPtr stmt = it->second->stmt;
   if (!stmt->FreshAgainst(catalog)) {
-    lru_.erase(it->second);
-    entries_.erase(it);
+    Erase(it->second);
     ++stats_.invalidations;
     return nullptr;
   }
@@ -53,20 +67,19 @@ PreparedStatementPtr PlanCache::Lookup(const std::string& key,
   return stmt;
 }
 
-void PlanCache::Insert(const std::string& key, PreparedStatementPtr stmt) {
+void PlanCache::Insert(const std::string& sql, PreparedStatementPtr stmt) {
   std::lock_guard<std::mutex> lock(mu_);
   if (capacity_ == 0) return;
-  auto it = entries_.find(key);
+  auto it = Find(sql, stmt->options);
   if (it != entries_.end()) {
     it->second->stmt = std::move(stmt);
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  lru_.push_front(Entry{key, std::move(stmt)});
-  entries_[key] = lru_.begin();
+  lru_.push_front(Entry{sql, std::move(stmt)});
+  entries_.emplace(sql, lru_.begin());
   if (lru_.size() > capacity_) {
-    entries_.erase(lru_.back().key);
-    lru_.pop_back();
+    Erase(std::prev(lru_.end()));
     ++stats_.evictions;
   }
 }
@@ -76,7 +89,7 @@ std::vector<std::pair<std::string, PreparedStatementPtr>> PlanCache::Entries()
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::pair<std::string, PreparedStatementPtr>> out;
   out.reserve(lru_.size());
-  for (const Entry& e : lru_) out.emplace_back(e.key, e.stmt);
+  for (const Entry& e : lru_) out.emplace_back(e.sql, e.stmt);
   return out;
 }
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "catalog/catalog.h"
+#include "engine/session_options.h"
 #include "exec/stream.h"
 #include "obs/op_stats.h"
 #include "optimizer/optimizer.h"
@@ -33,6 +34,9 @@ struct PreparedStatement {
   // -- identity --
   std::string sql;  // original statement text (for recompiles)
   size_t num_params = 0;
+  /// The session options this plan was compiled under: with the
+  /// normalized SQL, the plan-cache key.
+  SessionOptions options;
 
   // -- compile artifacts (see ordering note above) --
   std::unique_ptr<qgm::Graph> graph;
@@ -57,8 +61,8 @@ struct PreparedStatement {
   double plan_cardinality = 0;
 
   // -- workload classification (stamped at compile time; the session's
-  // STATEMENT_PRIORITY and the classification thresholds are part of the
-  // cache key, so an entry's class never goes stale) --
+  // STATEMENT_PRIORITY and the classification thresholds are part of
+  // `options`, so an entry's class never goes stale) --
   /// Crossed SLOW_PLAN_COST / SLOW_PLAN_ROWS — the statement is expected
   /// to run long ("slow" class; serves at low priority by default).
   bool slow_class = false;
@@ -87,8 +91,9 @@ struct PreparedStatement {
 using PreparedStatementPtr = std::shared_ptr<PreparedStatement>;
 
 /// LRU cache of compiled SELECT statements, keyed on (normalized SQL,
-/// session-knob fingerprint). Session knobs key-miss rather than
-/// invalidate: two parallelism settings hold two entries side by side.
+/// the SessionOptions value the plan was compiled under). Option changes
+/// key-miss rather than invalidate: two parallelism settings hold two
+/// entries of one SQL side by side.
 /// DDL and ANALYZE invalidate through the catalog version check at
 /// lookup time — stale entries are dropped, never served.
 ///
@@ -122,20 +127,24 @@ class PlanCache {
   }
   void Clear();
 
-  /// The fresh entry under `key`, moved to the front of the LRU, or null.
+  /// The fresh entry for `sql` (normalized) compiled under `options`,
+  /// moved to the front of the LRU, or null.
   /// A stale entry (a dependency's catalog stamp moved) is dropped and
   /// counted as an invalidation; a fresh hit whose global version merely
   /// drifted (unrelated DDL) is re-stamped so later lookups take the
   /// cheap path. Absence is NOT counted here — the caller records a miss
   /// only when the statement turns out to be cacheable (see CountMiss).
-  PreparedStatementPtr Lookup(const std::string& key, const Catalog& catalog);
+  PreparedStatementPtr Lookup(const std::string& sql,
+                              const SessionOptions& options,
+                              const Catalog& catalog);
 
-  /// Inserts (or replaces) the entry under `key`, evicting the least
-  /// recently used entry past capacity. No-op when disabled.
-  void Insert(const std::string& key, PreparedStatementPtr stmt);
+  /// Inserts `stmt` for `sql` (normalized), replacing the entry compiled
+  /// under equal options, and evicts the least recently used entry past
+  /// capacity. No-op when disabled.
+  void Insert(const std::string& sql, PreparedStatementPtr stmt);
 
   /// LRU-ordered view (most recently used first) of the cached entries:
-  /// (cache key, statement) pairs. Powers `sys.plan_cache`.
+  /// (normalized SQL, statement) pairs. Powers `sys.plan_cache`.
   std::vector<std::pair<std::string, PreparedStatementPtr>> Entries() const;
 
   void CountMiss() {
@@ -160,14 +169,22 @@ class PlanCache {
 
  private:
   struct Entry {
-    std::string key;
+    std::string sql;
     PreparedStatementPtr stmt;
   };
+  using Lru = std::list<Entry>;
+  /// The index entry of `sql` whose statement was compiled under
+  /// `options`, or entries_.end().
+  std::unordered_multimap<std::string, Lru::iterator>::iterator Find(
+      const std::string& sql, const SessionOptions& options);
+  /// Drops `pos` from the LRU list and the index.
+  void Erase(Lru::iterator pos);
 
   mutable std::mutex mu_;
   size_t capacity_;
-  std::list<Entry> lru_;  // front = most recently used
-  std::unordered_map<std::string, std::list<Entry>::iterator> entries_;
+  Lru lru_;  // front = most recently used
+  /// Normalized SQL -> its entries, one per distinct SessionOptions.
+  std::unordered_multimap<std::string, Lru::iterator> entries_;
   Stats stats_;
 };
 

@@ -36,6 +36,7 @@ struct ExecOptions {
   bool vectorize = true;
 
   static size_t DefaultParallelism();
+  bool operator==(const ExecOptions&) const = default;
 };
 
 }  // namespace starburst::exec

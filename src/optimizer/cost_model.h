@@ -26,6 +26,7 @@ class CostModel {
     double default_table_rows = 1000.0;
     double default_eq_selectivity = 0.1;    // System R heritage
     double default_range_selectivity = 1.0 / 3.0;
+    bool operator==(const Params&) const = default;
   };
 
   CostModel() = default;

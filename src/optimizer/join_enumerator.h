@@ -22,6 +22,7 @@ class JoinEnumerator {
     bool allow_cartesian = false;
     /// Plans retained per iterator set (cheapest + interesting orders).
     size_t max_plans_per_set = 4;
+    bool operator==(const Options&) const = default;
   };
 
   struct Stats {

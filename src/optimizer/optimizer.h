@@ -26,6 +26,7 @@ class Optimizer {
     /// consumers share one evaluation (§5: "materialized once and used
     /// several times"). Off = each reference re-evaluates.
     bool materialize_shared = true;
+    bool operator==(const Options&) const = default;
   };
 
   struct Stats {

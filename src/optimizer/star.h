@@ -92,6 +92,7 @@ class PlanGenerator {
   struct Options {
     /// Prune STARs whose rank exceeds this.
     int max_rank = 1000;
+    bool operator==(const Options&) const = default;
   };
 
   struct Stats {

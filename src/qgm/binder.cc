@@ -249,6 +249,7 @@ Result<std::unique_ptr<Graph>> Binder::BindTableMutation(
     for (size_t c = 0; c < schema.num_columns(); ++c) {
       row.push_back(MakeColumnRef(q, c, schema.column(c).type));
     }
+    std::vector<bool> assigned(schema.num_columns(), false);
     for (const auto& [col_name, value_expr] : *assignments) {
       std::optional<size_t> pos = exposed.schema.FindColumn(col_name);
       if (!pos.has_value()) {
@@ -256,6 +257,13 @@ Result<std::unique_ptr<Graph>> Binder::BindTableMutation(
                                      exposed.name);
       }
       size_t base_col = target.column_map ? (*target.column_map)[*pos] : *pos;
+      // Through a view, two names can reach one base column.
+      if (assigned[base_col]) {
+        return Status::SemanticError("column '" + schema.column(base_col).name +
+                                     "' of " + target.table->name +
+                                     " is assigned more than once");
+      }
+      assigned[base_col] = true;
       STARBURST_ASSIGN_OR_RETURN(row[base_col], BindExpr(*value_expr, &ctx));
       STARBURST_RETURN_IF_ERROR(UnifyTypes(schema.column(base_col).type,
                                            row[base_col]->type,

@@ -57,6 +57,7 @@ class RuleEngine {
     uint64_t seed = 42;
     /// Validate the QGM after every firing (tests; costs time).
     bool paranoid_validation = false;
+    bool operator==(const Options&) const = default;
   };
 
   struct Stats {

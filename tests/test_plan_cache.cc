@@ -117,6 +117,82 @@ TEST_F(PlanCacheTest, KnobChangeMissesInsteadOfInvalidating) {
   EXPECT_TRUE(M().plan_cache_hit);  // the original entry survived
 }
 
+TEST_F(PlanCacheTest, OptimizerOptionChangesMissAndRestoringHits) {
+  const std::string q =
+      "SELECT COUNT(*) FROM t a, t b, other o "
+      "WHERE a.id = b.id AND a.grp = o.x";
+  Run(q);
+  // The optimizer's options have no SET knob; they key the cache all the
+  // same, because the key is the whole SessionOptions value.
+  optimizer::Optimizer::Options& opt = db_.options().optimizer;
+  const optimizer::Optimizer::Options original = opt;
+  auto expect_miss_then_hit = [&](const char* changed) {
+    Run(q);
+    EXPECT_FALSE(M().plan_cache_hit) << changed;
+    opt = original;
+    Run(q);
+    EXPECT_TRUE(M().plan_cache_hit) << changed;  // the first entry survived
+  };
+  opt.join.allow_composite_inner = false;
+  expect_miss_then_hit("join.allow_composite_inner");
+  opt.cost.cpu_hash *= 2;
+  expect_miss_then_hit("cost.cpu_hash");
+  opt.generator.max_rank -= 1;
+  expect_miss_then_hit("generator.max_rank");
+  EXPECT_EQ(M().plan_cache.invalidations, 0u);
+  EXPECT_EQ(M().plan_cache_entries, 4u);
+}
+
+TEST_F(PlanCacheTest, RecompileMatchesAFreshCompile) {
+  Run("CREATE TABLE s (id INT, grp INT)");
+  std::string values;
+  for (int i = 0; i < 10; ++i) {
+    values += (i ? ", (" : "(") + std::to_string(i) + ", " +
+              std::to_string(i % 3) + ")";
+  }
+  Run("INSERT INTO s VALUES " + values);
+  Run("ANALYZE s");
+  Run("SET SLOW_PLAN_ROWS = 100");
+  Run("SET VECTORIZE = 0");
+  const std::string q = "SELECT id FROM s WHERE grp >= 0";
+  Result<Database::PreparedHandle> ps = db_.Prepare(q);
+  ASSERT_TRUE(ps.ok()) << ps.status().ToString();
+  EXPECT_FALSE((*ps)->slow_class);  // 10 rows estimated
+  EXPECT_EQ((*ps)->kernel_programs, 0u);
+
+  values.clear();
+  for (int i = 10; i < 1010; ++i) {
+    values += (i > 10 ? ", (" : "(") + std::to_string(i) + ", " +
+              std::to_string(i % 3) + ")";
+  }
+  Run("INSERT INTO s VALUES " + values);
+  Run("ANALYZE s");  // stales the handle
+  Run("SET VECTORIZE = DEFAULT");
+  Result<ResultSet> got = db_.ExecutePrepared(*ps);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_FALSE(M().plan_cache_hit);
+  EXPECT_EQ(got->row_count(), 1010u);
+  EXPECT_GE((*ps)->plan_cardinality, 1000.0);
+  ResultSet logged = Run(
+      "SELECT class FROM sys.query_log "
+      "WHERE sql = 'SELECT ID FROM S WHERE GRP >= 0'");
+  ASSERT_EQ(logged.row_count(), 1u);
+  EXPECT_EQ(logged.rows()[0][0].string_value(), "slow");
+
+  // A fresh compile of the same text under the same settings.
+  db_.plan_cache().Clear();
+  Result<Database::PreparedHandle> fresh = db_.Prepare(q);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_FALSE(M().plan_cache_hit);
+  EXPECT_TRUE((*fresh)->slow_class);
+  EXPECT_EQ((*ps)->slow_class, (*fresh)->slow_class);
+  EXPECT_EQ((*ps)->priority, (*fresh)->priority);
+  EXPECT_EQ((*ps)->kernel_programs, (*fresh)->kernel_programs);
+  EXPECT_EQ((*ps)->kernel_programs_full, (*fresh)->kernel_programs_full);
+  EXPECT_TRUE((*ps)->options == (*fresh)->options);
+  EXPECT_EQ((*ps)->sql, q);
+}
+
 TEST_F(PlanCacheTest, LruEvictsPastCapacity) {
   Run("SET PLAN_CACHE_SIZE = 2");
   Run("SELECT id FROM t WHERE grp = 0");

@@ -101,15 +101,18 @@ TEST_P(QueryEquivalenceTest, JoinEnumeratorTogglesAgree) {
   Result<std::vector<Row>> reference = db.Query(GetParam());
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
+  // Each toggle must compile a new plan, not replay the cached one.
   db.options().optimizer.join.allow_composite_inner = false;
   Result<std::vector<Row>> left_deep = db.Query(GetParam());
   ASSERT_TRUE(left_deep.ok()) << left_deep.status().ToString();
+  EXPECT_FALSE(db.last_metrics().plan_cache_hit);
   EXPECT_EQ(Sorted(*reference), Sorted(*left_deep));
 
   db.options().optimizer.join.allow_cartesian = true;
   db.options().optimizer.join.allow_composite_inner = true;
   Result<std::vector<Row>> cartesian_ok = db.Query(GetParam());
   ASSERT_TRUE(cartesian_ok.ok());
+  EXPECT_FALSE(db.last_metrics().plan_cache_hit);
   EXPECT_EQ(Sorted(*reference), Sorted(*cartesian_ok));
 }
 

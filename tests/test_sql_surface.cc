@@ -359,6 +359,26 @@ TEST_F(SqlSurfaceTest, AmbiguousViewUpdatesRejected) {
   EXPECT_FALSE(Exec("DELETE FROM d_v"));
 }
 
+TEST_F(SqlSurfaceTest, UpdateRejectsAColumnAssignedTwice) {
+  EXPECT_FALSE(Exec("UPDATE emp SET salary = 1, salary = 2 WHERE id = 2"));
+  EXPECT_EQ(last_error_.code(), StatusCode::kSemanticError);
+  EXPECT_NE(last_error_.message().find("'salary'"), std::string::npos)
+      << last_error_.message();
+  // Two view names that map to one base column collide the same way.
+  ASSERT_TRUE(
+      Exec("CREATE VIEW pay2 (a, b) AS SELECT salary, salary FROM emp"));
+  EXPECT_FALSE(Exec("UPDATE pay2 SET a = 1, b = 2"));
+  EXPECT_EQ(last_error_.code(), StatusCode::kSemanticError);
+  EXPECT_NE(last_error_.message().find("'salary'"), std::string::npos)
+      << last_error_.message();
+  // Nothing was written, and distinct columns still update together.
+  EXPECT_EQ(Q("SELECT salary FROM emp WHERE id = 2")[0][0], Value::Double(80));
+  ASSERT_TRUE(Exec("UPDATE emp SET salary = 81, boss = 3 WHERE id = 2"));
+  std::vector<Row> rows = Q("SELECT salary, boss FROM emp WHERE id = 2");
+  EXPECT_EQ(rows[0][0], Value::Double(81));
+  EXPECT_EQ(rows[0][1], Value::Int(3));
+}
+
 TEST_F(SqlSurfaceTest, InsertThroughViewChecksNotNull) {
   ASSERT_TRUE(Exec("CREATE TABLE strict2 (a INT NOT NULL, b INT)"));
   ASSERT_TRUE(Exec("CREATE VIEW only_b AS SELECT b FROM strict2"));

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -261,6 +264,80 @@ TEST_F(SystemTablesTest, RenderTextServesEngineMetrics) {
   std::string text = db_.metrics_registry().RenderText();
   EXPECT_NE(text.find("# TYPE queries_total counter"), std::string::npos);
   EXPECT_NE(text.find("# TYPE query_latency_us summary"), std::string::npos);
+}
+
+TEST_F(SystemTablesTest, SettingsShowWhatSetEchoes) {
+  // One non-default value per knob; a knob missing here fails below.
+  const std::map<std::string, std::string> non_default = {
+      {"STATEMENT_PRIORITY", "LOW"},
+      {"PARALLELISM",
+       std::to_string(exec::ExecOptions::DefaultParallelism() + 1)},
+      {"PARALLEL_MIN_ROWS", "5000"},
+      {"BATCH_SIZE", "7"},
+      {"VECTORIZE", "0"},
+      {"SORT_MEMORY", "64 KB"},
+      {"AGG_MEMORY", "2 MB"},
+      {"QUERY_MEMORY", "1 GB"},
+      {"PLAN_CACHE_SIZE", "3"},
+      {"SLOW_QUERY_US", "1000000"},
+      {"TRACE_BUFFER", "100"},
+      {"STATEMENT_TIMEOUT_MS", "600000"},
+      {"ADMISSION_MEMORY", "4 GB"},
+      {"ADMISSION_WAIT_MS", "5000"},
+      {"ADMISSION_AGING_MS", "250"},
+      {"SLOW_PLAN_COST", "123"},
+      {"SLOW_PLAN_ROWS", "456"},
+  };
+  std::vector<Row> knobs =
+      MustQuery("SELECT name, default_value, unit FROM sys.settings");
+  ASSERT_EQ(knobs.size(), non_default.size());
+  for (const Row& knob : knobs) {
+    const std::string& name = knob[0].string_value();
+    const std::string& default_value = knob[1].string_value();
+    EXPECT_FALSE(knob[2].string_value().empty()) << name;
+    auto it = non_default.find(name);
+    if (it == non_default.end()) {
+      ADD_FAILURE() << "no non-default value for " << name;
+      continue;
+    }
+    const std::string probe =
+        "SELECT value FROM sys.settings WHERE name = '" + name + "'";
+    Result<ResultSet> set = db_.Execute("SET " + name + " = " + it->second);
+    ASSERT_TRUE(set.ok()) << name << ": " << set.status().ToString();
+    const std::string prefix = "SET " + name + " = ";
+    ASSERT_EQ(set->message().rfind(prefix, 0), 0u) << set->message();
+    const std::string echoed = set->message().substr(prefix.size());
+    EXPECT_NE(echoed, default_value) << name;
+    std::vector<Row> now = MustQuery(probe);
+    ASSERT_EQ(now.size(), 1u) << name;
+    EXPECT_EQ(now[0][0].string_value(), echoed) << name;
+
+    ASSERT_TRUE(Exec("SET " + name + " = DEFAULT")) << last_error_;
+    now = MustQuery(probe);
+    ASSERT_EQ(now.size(), 1u) << name;
+    EXPECT_EQ(now[0][0].string_value(), default_value) << name;
+  }
+}
+
+TEST_F(SystemTablesTest, ReadmeSettingsTableListsExactlySysSettings) {
+  std::ifstream readme(std::string(STARBURST_SOURCE_DIR) + "/README.md");
+  ASSERT_TRUE(readme.good());
+  // Table rows (| `NAME` | ...) under the "Session settings" heading.
+  std::set<std::string> documented;
+  bool in_section = false;
+  std::string line;
+  while (std::getline(readme, line)) {
+    if (line.rfind('#', 0) == 0) {
+      in_section = line.find("Session settings") != std::string::npos;
+    } else if (in_section && line.rfind("| `", 0) == 0) {
+      documented.insert(line.substr(3, line.find('`', 3) - 3));
+    }
+  }
+  std::set<std::string> served;
+  for (const Row& r : MustQuery("SELECT name FROM sys.settings")) {
+    served.insert(r[0].string_value());
+  }
+  EXPECT_EQ(documented, served);
 }
 
 }  // namespace

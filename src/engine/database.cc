@@ -21,18 +21,6 @@ namespace starburst {
 
 namespace {
 
-class Timer {
- public:
-  Timer() : start_(std::chrono::steady_clock::now()) {}
-  double ElapsedUs() const {
-    auto now = std::chrono::steady_clock::now();
-    return std::chrono::duration<double, std::micro>(now - start_).count();
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
-
 struct ValueTotalLess {
   bool operator()(const Value& a, const Value& b) const {
     return a.CompareTotal(b) < 0;
@@ -40,6 +28,16 @@ struct ValueTotalLess {
 };
 
 }  // namespace
+
+struct Database::LayerStats {
+  PlanCache::Stats plan_cache;
+  uint64_t plan_cache_entries = 0;
+  BufferPoolStats buffer_pool;
+  AdmissionController::Stats admission;
+  uint64_t statements_live = 0;
+  uint64_t query_log_dropped = 0;
+  uint64_t query_log_cleared = 0;
+};
 
 Database::Database(size_t buffer_pool_pages)
     : storage_(buffer_pool_pages),
@@ -65,48 +63,94 @@ Database::Database(size_t buffer_pool_pages)
   em_.slow_queries_total = r.counter("slow_queries_total");
   em_.query_latency_us =
       r.histogram("query_latency_us", obs::MetricsRegistry::LatencyBoundsUs());
-  em_.plan_cache_hits = r.counter("plan_cache_hits_total");
-  em_.plan_cache_misses = r.counter("plan_cache_misses_total");
-  em_.plan_cache_invalidations = r.counter("plan_cache_invalidations_total");
-  em_.plan_cache_evictions = r.counter("plan_cache_evictions_total");
-  em_.plan_cache_entries = r.gauge("plan_cache_entries");
-  em_.buffer_pool_logical_reads = r.counter("buffer_pool_logical_reads_total");
-  em_.buffer_pool_cache_hits = r.counter("buffer_pool_cache_hits_total");
-  em_.buffer_pool_disk_reads = r.counter("buffer_pool_disk_reads_total");
-  em_.buffer_pool_disk_writes = r.counter("buffer_pool_disk_writes_total");
-  em_.spill_files_created = r.counter("spill_files_created_total");
-  em_.spill_bytes_written = r.counter("spill_bytes_written_total");
-  em_.spill_live_files = r.gauge("spill_live_files");
-  em_.spill_live_bytes = r.gauge("spill_live_bytes");
-  em_.scheduler_tasks_run = r.counter("scheduler_tasks_run_total");
-  em_.scheduler_workers_spawned = r.counter("scheduler_workers_spawned_total");
   em_.memory_query_peak_bytes = r.gauge("memory_query_peak_bytes");
   em_.memory_query_peak_max_bytes = r.gauge("memory_query_peak_max_bytes");
   em_.statements_killed_total = r.counter("statements_killed_total");
   em_.statements_cancelled_total = r.counter("statements_cancelled_total");
   em_.statements_timed_out_total = r.counter("statements_timed_out_total");
-  em_.admission_queued_total = r.counter("admission_queued_total");
-  em_.admission_rejected_total = r.counter("admission_rejected_total");
-  em_.admission_timeouts_total = r.counter("admission_timeouts_total");
-  em_.admission_cancelled_while_queued_total =
-      r.counter("admission_cancelled_while_queued_total");
-  em_.admission_aged_total = r.counter("admission_aged_total");
-  em_.admission_admitted_by_class[0] =
-      r.counter("admission_high_admitted_total");
-  em_.admission_admitted_by_class[1] =
-      r.counter("admission_normal_admitted_total");
-  em_.admission_admitted_by_class[2] =
-      r.counter("admission_low_admitted_total");
-  em_.admission_queued_by_class[0] = r.counter("admission_high_queued_total");
-  em_.admission_queued_by_class[1] = r.counter("admission_normal_queued_total");
-  em_.admission_queued_by_class[2] = r.counter("admission_low_queued_total");
-  em_.admission_waiting = r.gauge("admission_waiting");
-  em_.admission_in_use_bytes = r.gauge("admission_in_use_bytes");
-  em_.admission_budget_bytes = r.gauge("admission_budget_bytes");
-  em_.scheduler_preemptions = r.counter("scheduler_preemptions_total");
-  em_.statements_live = r.gauge("statements_live");
-  em_.query_log_dropped_total = r.counter("query_log_dropped_total");
-  em_.query_log_cleared_total = r.counter("query_log_cleared_total");
+
+  // Values the layers keep themselves, copied into the registry by
+  // RefreshMetricsMirrors.
+  using L = LayerStats;
+  using Sched = exec::parallel::TaskScheduler;
+  enum Kind { kCounter, kGauge };
+  struct MirrorDef {
+    const char* name;
+    Kind kind;
+    uint64_t (*read)(const L&);
+  };
+  static constexpr MirrorDef kMirrors[] = {
+      {"plan_cache_hits_total", kCounter,
+       [](const L& l) { return l.plan_cache.hits; }},
+      {"plan_cache_misses_total", kCounter,
+       [](const L& l) { return l.plan_cache.misses; }},
+      {"plan_cache_invalidations_total", kCounter,
+       [](const L& l) { return l.plan_cache.invalidations; }},
+      {"plan_cache_evictions_total", kCounter,
+       [](const L& l) { return l.plan_cache.evictions; }},
+      {"plan_cache_entries", kGauge,
+       [](const L& l) { return l.plan_cache_entries; }},
+      {"buffer_pool_logical_reads_total", kCounter,
+       [](const L& l) { return l.buffer_pool.logical_reads; }},
+      {"buffer_pool_cache_hits_total", kCounter,
+       [](const L& l) { return l.buffer_pool.cache_hits; }},
+      {"buffer_pool_disk_reads_total", kCounter,
+       [](const L& l) { return l.buffer_pool.disk_reads; }},
+      {"buffer_pool_disk_writes_total", kCounter,
+       [](const L& l) { return l.buffer_pool.disk_writes; }},
+      {"spill_files_created_total", kCounter,
+       [](const L&) { return SpillFile::total_count(); }},
+      {"spill_bytes_written_total", kCounter,
+       [](const L&) { return SpillFile::total_bytes(); }},
+      {"spill_live_files", kGauge,
+       [](const L&) { return SpillFile::live_count(); }},
+      {"spill_live_bytes", kGauge,
+       [](const L&) { return SpillFile::live_bytes(); }},
+      {"scheduler_tasks_run_total", kCounter,
+       [](const L&) { return Sched::total_tasks_run(); }},
+      {"scheduler_workers_spawned_total", kCounter,
+       [](const L&) { return Sched::total_workers_spawned(); }},
+      {"scheduler_preemptions_total", kCounter,
+       [](const L&) { return Sched::total_preemptions(); }},
+      {"admission_queued_total", kCounter,
+       [](const L& l) { return l.admission.queued_total; }},
+      {"admission_rejected_total", kCounter,
+       [](const L& l) { return l.admission.rejected_total; }},
+      {"admission_timeouts_total", kCounter,
+       [](const L& l) { return l.admission.timeout_total; }},
+      {"admission_cancelled_while_queued_total", kCounter,
+       [](const L& l) { return l.admission.cancelled_while_queued_total; }},
+      {"admission_aged_total", kCounter,
+       [](const L& l) { return l.admission.aged_total; }},
+      {"admission_high_admitted_total", kCounter,
+       [](const L& l) { return l.admission.admitted_by_class[0]; }},
+      {"admission_normal_admitted_total", kCounter,
+       [](const L& l) { return l.admission.admitted_by_class[1]; }},
+      {"admission_low_admitted_total", kCounter,
+       [](const L& l) { return l.admission.admitted_by_class[2]; }},
+      {"admission_high_queued_total", kCounter,
+       [](const L& l) { return l.admission.queued_by_class[0]; }},
+      {"admission_normal_queued_total", kCounter,
+       [](const L& l) { return l.admission.queued_by_class[1]; }},
+      {"admission_low_queued_total", kCounter,
+       [](const L& l) { return l.admission.queued_by_class[2]; }},
+      {"admission_waiting", kGauge,
+       [](const L& l) { return l.admission.waiting_now; }},
+      {"admission_in_use_bytes", kGauge,
+       [](const L& l) { return l.admission.in_use_bytes; }},
+      {"admission_budget_bytes", kGauge,
+       [](const L& l) { return l.admission.budget_bytes; }},
+      {"statements_live", kGauge, [](const L& l) { return l.statements_live; }},
+      {"query_log_dropped_total", kCounter,
+       [](const L& l) { return l.query_log_dropped; }},
+      {"query_log_cleared_total", kCounter,
+       [](const L& l) { return l.query_log_cleared; }},
+  };
+  for (const MirrorDef& m : kMirrors) {
+    mirrors_.push_back(m.kind == kGauge
+                           ? Mirror{nullptr, r.gauge(m.name), m.read}
+                           : Mirror{r.counter(m.name), nullptr, m.read});
+  }
   RegisterSystemTables();
 }
 
@@ -159,23 +203,32 @@ void Database::BeginStatement(const std::string& sql) {
   s.metrics = QueryMetrics{};
   s.cancel.Reset();
   if (statement_timeout_ms_ > 0) s.cancel.SetTimeoutMs(statement_timeout_ms_);
-  s.id = static_cast<int64_t>(++statement_seq_);
-  s.start_ts_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                      std::chrono::system_clock::now().time_since_epoch())
-                      .count();
-  s.parallelism = options_.exec.parallelism == 0
-                      ? 1
-                      : static_cast<int>(options_.exec.parallelism);
   s.admission_rejected = false;
-  statements_.Register(s.id, NormalizeSql(sql), s.start_ts_us, &s.cancel);
+  s.row = obs::QueryLogEntry{};
+  s.row.id = static_cast<int64_t>(++statement_seq_);
+  s.row.ts_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                    std::chrono::system_clock::now().time_since_epoch())
+                    .count();
+  s.row.sql = NormalizeSql(sql);
+  s.row.phase = "parse";
+  s.row.parallelism = options_.exec.parallelism == 0
+                          ? 1
+                          : static_cast<int>(options_.exec.parallelism);
+  statements_.Register(s.row, &s.cancel);
+}
+
+void Database::EnterPhase(const char* phase) {
+  StatementState& s = stmt_state();
+  s.row.phase = phase;
+  statements_.Update(s.row);
 }
 
 Result<ResultSet> Database::Execute(const std::string& sql) {
   BeginStatement(sql);
-  Timer total_timer;
+  const double start_us = obs::NowUs();
   Result<ResultSet> result = ExecuteInternal(sql);
-  FinishStatement(sql, result.status(), LoggedRowCount(result),
-                  total_timer.ElapsedUs());
+  FinishStatement(result.status(), LoggedRowCount(result),
+                  obs::NowUs() - start_us);
   return result;
 }
 
@@ -189,7 +242,7 @@ Result<ResultSet> Database::ExecuteInternal(const std::string& sql) {
   // skipped.
   std::string cache_key;
   if (plan_cache_.capacity() > 0) {
-    cache_key = NormalizeSql(sql);
+    cache_key = stmt_state().row.sql;  // BeginStatement normalized `sql`
     if (PreparedStatementPtr hit =
             plan_cache_.Lookup(cache_key, options_, catalog_)) {
       if (hit->num_params > 0) {
@@ -204,12 +257,11 @@ Result<ResultSet> Database::ExecuteInternal(const std::string& sql) {
       return ResultSet(std::move(out.column_names), std::move(out.rows));
     }
   }
-  obs::Span parse_span(&tracer_, "parse", "phase");
-  Timer parse_timer;
+  obs::PhaseTimer parse_phase(&tracer_, "parse",
+                              &stmt_state().metrics.parse_us);
   Parser parser(sql);
   STARBURST_ASSIGN_OR_RETURN(ast::StatementPtr stmt, parser.ParseStatement());
-  stmt_state().metrics.parse_us = parse_timer.ElapsedUs();
-  parse_span.End();
+  parse_phase.End();
   return ExecuteStatement(*stmt, cache_key);
 }
 
@@ -226,10 +278,10 @@ Result<ResultSet> Database::ExecuteScript(const std::string& sql) {
     const char* label = StatementKindLabel(stmts[i]->kind);
     BeginStatement(label);
     stmt_state().metrics.parse_us = i < parse_us.size() ? parse_us[i] : 0;
-    Timer stmt_timer;
+    const double start_us = obs::NowUs();
     Result<ResultSet> r = ExecuteStatement(*stmts[i]);
-    FinishStatement(label, r.status(), LoggedRowCount(r),
-                    stmt_state().metrics.parse_us + stmt_timer.ElapsedUs());
+    FinishStatement(r.status(), LoggedRowCount(r),
+                    stmt_state().metrics.parse_us + obs::NowUs() - start_us);
     if (!r.ok()) return r.status();
     last = r.TakeValue();
   }
@@ -242,7 +294,7 @@ Result<Database::PreparedHandle> Database::Prepare(const std::string& sql) {
   StatementState& s = stmt_state();
   s.metrics = QueryMetrics{};
   s.cancel.Reset();
-  s.id = 0;
+  s.row = obs::QueryLogEntry{};
   s.admission_rejected = false;
   // No FinishStatement runs for a Prepare; publish its compile metrics
   // to last_metrics() on every exit path ourselves.
@@ -264,19 +316,7 @@ Result<Database::PreparedHandle> Database::Prepare(const std::string& sql) {
       return hit;
     }
   }
-  obs::Span parse_span(&tracer_, "parse", "phase");
-  Timer parse_timer;
-  Parser parser(sql);
-  STARBURST_ASSIGN_OR_RETURN(ast::StatementPtr stmt, parser.ParseStatement());
-  stmt_state().metrics.parse_us = parse_timer.ElapsedUs();
-  parse_span.End();
-  if (stmt->kind != ast::StatementKind::kSelect) {
-    return Status::InvalidArgument("only SELECT statements can be prepared");
-  }
-  const ast::Query& query =
-      *static_cast<const ast::SelectStatement&>(*stmt).query;
-  STARBURST_ASSIGN_OR_RETURN(PreparedStatementPtr ps,
-                             CompileSelect(query, nullptr));
+  STARBURST_ASSIGN_OR_RETURN(PreparedStatementPtr ps, CompileSelectText(sql));
   ps->sql = sql;
   if (!cache_key.empty()) {
     plan_cache_.CountMiss();
@@ -284,6 +324,20 @@ Result<Database::PreparedHandle> Database::Prepare(const std::string& sql) {
   }
   SnapshotPlanCacheMetrics();
   return ps;
+}
+
+Result<PreparedStatementPtr> Database::CompileSelectText(
+    const std::string& sql) {
+  obs::PhaseTimer parse_phase(&tracer_, "parse",
+                              &stmt_state().metrics.parse_us);
+  Parser parser(sql);
+  STARBURST_ASSIGN_OR_RETURN(ast::StatementPtr stmt, parser.ParseStatement());
+  parse_phase.End();
+  if (stmt->kind != ast::StatementKind::kSelect) {
+    return Status::InvalidArgument("only SELECT statements can be prepared");
+  }
+  return CompileSelect(*static_cast<const ast::SelectStatement&>(*stmt).query,
+                       nullptr);
 }
 
 namespace {
@@ -310,7 +364,7 @@ Result<ResultSet> Database::ExecutePrepared(const PreparedHandle& handle,
     return Status::InvalidArgument("null prepared statement handle");
   }
   BeginStatement(handle->sql);
-  Timer total_timer;
+  const double start_us = obs::NowUs();
   Result<ResultSet> result = [&]() -> Result<ResultSet> {
   obs::Span statement_span(&tracer_, "statement", "query");
   PreparedStatement& ps = *handle;
@@ -319,19 +373,8 @@ Result<ResultSet> Database::ExecutePrepared(const PreparedHandle& handle,
     // recompile in place, so this handle — and any plan-cache entry
     // sharing it — serves the fresh plan from now on.
     plan_cache_.CountInvalidation();
-    obs::Span parse_span(&tracer_, "parse", "phase");
-    Timer parse_timer;
-    Parser parser(ps.sql);
-    STARBURST_ASSIGN_OR_RETURN(ast::StatementPtr stmt, parser.ParseStatement());
-    stmt_state().metrics.parse_us = parse_timer.ElapsedUs();
-    parse_span.End();
-    if (stmt->kind != ast::StatementKind::kSelect) {
-      return Status::Internal("prepared statement is not a SELECT");
-    }
-    const ast::Query& query =
-        *static_cast<const ast::SelectStatement&>(*stmt).query;
     STARBURST_ASSIGN_OR_RETURN(PreparedStatementPtr fresh,
-                               CompileSelect(query, nullptr));
+                               CompileSelectText(ps.sql));
     ReplaceCompiled(ps, std::move(*fresh));
   } else {
     stmt_state().metrics.plan_cache_hit = true;
@@ -341,8 +384,8 @@ Result<ResultSet> Database::ExecutePrepared(const PreparedHandle& handle,
   SnapshotPlanCacheMetrics();
   return ResultSet(std::move(out.column_names), std::move(out.rows));
   }();
-  FinishStatement(handle->sql, result.status(), LoggedRowCount(result),
-                  total_timer.ElapsedUs());
+  FinishStatement(result.status(), LoggedRowCount(result),
+                  obs::NowUs() - start_us);
   return result;
 }
 
@@ -562,14 +605,12 @@ Result<Database::QueryOutput> Database::RunQueryPipeline(
 
 Result<PreparedStatementPtr> Database::CompileSelect(const ast::Query& query,
                                                      PipelineCapture* capture) {
-  statements_.SetPhase(stmt_state().id, "compile");
-  obs::Span bind_span(&tracer_, "bind", "phase");
-  Timer bind_timer;
+  EnterPhase("compile");
+  obs::PhaseTimer bind_phase(&tracer_, "bind", &stmt_state().metrics.bind_us);
   qgm::Binder binder(&catalog_);
   STARBURST_ASSIGN_OR_RETURN(std::unique_ptr<qgm::Graph> graph,
                              binder.BindQuery(query));
-  stmt_state().metrics.bind_us = bind_timer.ElapsedUs();
-  bind_span.End();
+  bind_phase.End();
 
   STARBURST_ASSIGN_OR_RETURN(PreparedStatementPtr ps,
                              CompileBound(std::move(graph), capture));
@@ -584,6 +625,7 @@ Result<PreparedStatementPtr> Database::CompileSelect(const ast::Query& query,
 
 Result<PreparedStatementPtr> Database::CompileBound(
     std::unique_ptr<qgm::Graph> bound, PipelineCapture* capture) {
+  QueryMetrics& m = stmt_state().metrics;
   auto ps = std::make_shared<PreparedStatement>();
   ps->options = options_;
   ps->graph = std::move(bound);
@@ -591,18 +633,15 @@ Result<PreparedStatementPtr> Database::CompileBound(
   ps->num_params = graph->num_params;
 
   if (options_.rewrite_enabled) {
-    obs::Span rewrite_span(&tracer_, "rewrite", "phase");
-    Timer rewrite_timer;
+    obs::PhaseTimer rewrite_phase(&tracer_, "rewrite", &m.rewrite_us);
     STARBURST_ASSIGN_OR_RETURN(
-        stmt_state().metrics.rewrite_stats,
-        rule_engine_.Run(graph, &catalog_, options_.rewrite));
-    stmt_state().metrics.rewrite_us = rewrite_timer.ElapsedUs();
-    rewrite_span.End();
+        m.rewrite_stats, rule_engine_.Run(graph, &catalog_, options_.rewrite));
+    rewrite_phase.End();
     // Replay the rule firings into the trace: one provenance log, two
     // consumers (EXPLAIN below, timeline here).
     if (tracer_.enabled()) {
       for (const rewrite::RuleEngine::Stats::Firing& f :
-           stmt_state().metrics.rewrite_stats.firings) {
+           m.rewrite_stats.firings) {
         tracer_.RecordInstant(
             "rule " + f.rule, "rewrite", f.at_us,
             "\"box\":\"" + obs::JsonEscape(f.box_label) +
@@ -615,8 +654,7 @@ Result<PreparedStatementPtr> Database::CompileBound(
     capture->qgm_text = qgm::PrintGraph(*graph);
   }
 
-  obs::Span optimize_span(&tracer_, "optimize", "phase");
-  Timer optimize_timer;
+  obs::PhaseTimer optimize_phase(&tracer_, "optimize", &m.optimize_us);
   ps->optimizer =
       std::make_unique<optimizer::Optimizer>(&catalog_, options_.optimizer);
   optimizer::Optimizer& opt = *ps->optimizer;
@@ -625,10 +663,10 @@ Result<PreparedStatementPtr> Database::CompileBound(
   }
   STARBURST_ASSIGN_OR_RETURN(ps->plan, opt.Optimize(*graph));
   const optimizer::PlanPtr& plan = ps->plan;
-  stmt_state().metrics.optimize_us = optimize_timer.ElapsedUs();
-  stmt_state().metrics.optimizer_stats = opt.stats();
-  stmt_state().metrics.plan_cost = plan->props.cost;
-  stmt_state().metrics.plan_cardinality = plan->props.cardinality;
+  optimize_phase.End();
+  m.optimizer_stats = opt.stats();
+  m.plan_cost = plan->props.cost;
+  m.plan_cardinality = plan->props.cardinality;
   ps->plan_cost = plan->props.cost;
   ps->plan_cardinality = plan->props.cardinality;
   // Workload classification (qserv-style fast/slow groups): a plan at or
@@ -642,7 +680,6 @@ Result<PreparedStatementPtr> Database::CompileBound(
           ? options_.statement_priority
           : static_cast<int>(ps->slow_class ? StatementPriority::kLow
                                             : StatementPriority::kNormal);
-  optimize_span.End();
   if (capture != nullptr && capture->want_texts) {
     capture->plan_text = plan->ToString();
   }
@@ -651,8 +688,7 @@ Result<PreparedStatementPtr> Database::CompileBound(
                        (capture != nullptr && capture->collect_stats);
   if (collect_stats) ps->stats_tree = std::make_shared<obs::PlanStatsTree>();
 
-  obs::Span refine_span(&tracer_, "refine", "phase");
-  Timer refine_timer;
+  obs::PhaseTimer refine_phase(&tracer_, "refine", &m.refine_us);
   exec::PlanRefiner::Options refine_options;
   refine_options.cache_mode = options_.exec.cache_mode;
   refine_options.ship_delay_us = options_.exec.ship_delay_us;
@@ -671,8 +707,8 @@ Result<PreparedStatementPtr> Database::CompileBound(
   STARBURST_ASSIGN_OR_RETURN(ps->root, refiner.Refine(plan));
   ps->kernel_programs = refiner.kernel_stats().programs;
   ps->kernel_programs_full = refiner.kernel_stats().fully_vectorized;
-  stmt_state().metrics.kernel_programs = ps->kernel_programs;
-  stmt_state().metrics.kernel_programs_full = ps->kernel_programs_full;
+  m.kernel_programs = ps->kernel_programs;
+  m.kernel_programs_full = ps->kernel_programs_full;
   if (graph->limit >= 0) {
     ps->root = exec::MakeLimitOp(std::move(ps->root), graph->limit);
     if (ps->stats_tree != nullptr) {
@@ -682,9 +718,8 @@ Result<PreparedStatementPtr> Database::CompileBound(
       ps->root->set_stats(&limit_node->actual);
     }
   }
-  stmt_state().metrics.refine_us = refine_timer.ElapsedUs();
-  refine_span.End();
-  stmt_state().metrics.op_stats = ps->stats_tree;
+  refine_phase.End();
+  m.op_stats = ps->stats_tree;
 
   ps->batch_size = refine_options.batch_size;
   ps->parallelism = static_cast<int>(refine_options.parallelism);
@@ -709,10 +744,6 @@ Result<Database::QueryOutput> Database::ExecuteCompiled(
         " parameter value(s), got " + std::to_string(given));
   }
 
-  obs::Span exec_span(&tracer_, "execute", "phase");
-  Timer exec_timer;
-  StorageEngine::Stats storage_before = storage_.GatherStats();
-  uint64_t spill_before = SpillFile::total_bytes();
   // A cached stats tree still carries the previous run's actuals.
   if (ps.stats_tree != nullptr) ps.stats_tree->ResetActuals();
   exec::ExecContext ctx(&storage_, &catalog_);
@@ -724,22 +755,20 @@ Result<Database::QueryOutput> Database::ExecuteCompiled(
   // memory from the global admission ledger, and expose the live tracker
   // through the statement registry.
   StatementState& s = stmt_state();
-  s.parallelism = ps.parallelism;
+  s.row.parallelism = ps.parallelism;
   ctx.set_cancel_token(&s.cancel);
   // Workload class: stamped at compile time, surfaced while live so
   // sys.statements shows what the queue is ordered by.
   const auto priority = static_cast<StatementPriority>(ps.priority);
-  s.priority_label = PriorityName(priority);
-  s.class_label = ps.slow_class ? "slow" : "fast";
+  s.row.priority = PriorityName(priority);
+  s.row.klass = ps.slow_class ? "slow" : "fast";
   ctx.set_scheduler_priority(ps.priority);
-  statements_.SetWorkload(s.id, s.priority_label, s.class_label, -1);
-  statements_.SetPhase(s.id, "queued");
-  Timer queue_timer;
+  EnterPhase("queued");
+  const double queued_at_us = obs::NowUs();
   Result<AdmissionGrant> admitted =
       admission_.Admit(options_.exec.query_memory_bytes, priority, &s.cancel);
-  s.metrics.queue_us = queue_timer.ElapsedUs();
-  statements_.SetWorkload(s.id, nullptr, nullptr,
-                          static_cast<int64_t>(s.metrics.queue_us));
+  s.metrics.queue_us = obs::NowUs() - queued_at_us;
+  s.row.queue_us = static_cast<uint64_t>(s.metrics.queue_us);
   if (!admitted.ok()) {
     if (admitted.status().code() == StatusCode::kAborted) {
       s.admission_rejected = true;
@@ -747,19 +776,23 @@ Result<Database::QueryOutput> Database::ExecuteCompiled(
     return admitted.status();
   }
   AdmissionGrant grant = admitted.TakeValue();
-  statements_.SetPhase(s.id, "execute");
+  EnterPhase("execute");
+  // Execution is timed from the grant on: the queue wait is queue_us's.
+  obs::PhaseTimer execute_phase(&tracer_, "execute", &s.metrics.execute_us);
+  StorageEngine::Stats storage_before = storage_.GatherStats();
+  uint64_t spill_before = SpillFile::total_bytes();
   // Grow the shared pool to this plan's width before any Gather opens.
   if (ps.parallelism > 1) {
     scheduler_.EnsureWorkers(static_cast<size_t>(ps.parallelism - 1));
   }
-  statements_.SetMemoryTracker(s.id, ctx.query_memory());
+  statements_.SetMemoryTracker(s.row.id, ctx.query_memory());
   // Declared after `ctx` so the registry stops pointing at the tracker
   // before it dies.
   struct TrackerGuard {
     StatementRegistry* registry;
     int64_t id;
     ~TrackerGuard() { registry->SetMemoryTracker(id, nullptr); }
-  } tracker_guard{&statements_, s.id};
+  } tracker_guard{&statements_, s.row.id};
   // A KILL or deadline that landed during compile/queue stops the
   // statement before any operator opens.
   STARBURST_RETURN_IF_ERROR(ctx.CheckCancel());
@@ -786,21 +819,20 @@ Result<Database::QueryOutput> Database::ExecuteCompiled(
       exec::DrainOperator(ps.root.get(), ctx.batch_size(), ps.reserve_hint,
                           &ctx);
   ps.root->Close();
-  stmt_state().metrics.execute_us = exec_timer.ElapsedUs();
-  stmt_state().metrics.exec_stats = ctx.stats();
+  execute_phase.End();
+  s.metrics.exec_stats = ctx.stats();
   StorageEngine::Stats storage_after = storage_.GatherStats();
-  stmt_state().metrics.buffer_pool =
+  s.metrics.buffer_pool =
       storage_after.buffer_pool.Since(storage_before.buffer_pool);
-  stmt_state().metrics.index_node_visits =
+  s.metrics.index_node_visits =
       storage_after.index_node_visits - storage_before.index_node_visits;
-  stmt_state().metrics.spill_bytes = SpillFile::total_bytes() - spill_before;
-  stmt_state().metrics.peak_memory_bytes = ctx.query_memory()->peak();
-  stmt_state().metrics.op_stats = ps.stats_tree;
-  stmt_state().metrics.plan_cost = ps.plan_cost;
-  stmt_state().metrics.plan_cardinality = ps.plan_cardinality;
-  stmt_state().metrics.kernel_programs = ps.kernel_programs;
-  stmt_state().metrics.kernel_programs_full = ps.kernel_programs_full;
-  exec_span.End();
+  s.metrics.spill_bytes = SpillFile::total_bytes() - spill_before;
+  s.metrics.peak_memory_bytes = ctx.query_memory()->peak();
+  s.metrics.op_stats = ps.stats_tree;
+  s.metrics.plan_cost = ps.plan_cost;
+  s.metrics.plan_cardinality = ps.plan_cardinality;
+  s.metrics.kernel_programs = ps.kernel_programs;
+  s.metrics.kernel_programs_full = ps.kernel_programs_full;
   if (!rows.ok()) return rows.status();
 
   QueryOutput out;
@@ -984,7 +1016,7 @@ Result<ResultSet> Database::RunExplainReport(const ast::ExplainStatement& stmt) 
         buf, sizeof(buf),
         "workload: priority=%s class=%s queue_us=%lld aged=%llu "
         "cancelled_queued=%llu preemptions=%llu",
-        stmt_state().priority_label, stmt_state().class_label,
+        stmt_state().row.priority.c_str(), stmt_state().row.klass.c_str(),
         static_cast<long long>(stmt_state().metrics.queue_us),
         static_cast<unsigned long long>(adm.aged_total),
         static_cast<unsigned long long>(adm.cancelled_while_queued_total),
@@ -1364,15 +1396,13 @@ Result<ResultSet> Database::RunMutation(
   // Read: "which RIDs, with which new values" is an ordinary query, run
   // to completion before the first write, so an UPDATE of an indexed key
   // never meets its own output and a cancelled read changes nothing.
-  statements_.SetPhase(stmt_state().id, "compile");
-  obs::Span bind_span(&tracer_, "bind", "phase");
-  Timer bind_timer;
+  EnterPhase("compile");
+  obs::PhaseTimer bind_phase(&tracer_, "bind", &stmt_state().metrics.bind_us);
   qgm::Binder binder(&catalog_);
   STARBURST_ASSIGN_OR_RETURN(
       std::unique_ptr<qgm::Graph> graph,
       binder.BindTableMutation(target, where, assignments));
-  stmt_state().metrics.bind_us = bind_timer.ElapsedUs();
-  bind_span.End();
+  bind_phase.End();
   STARBURST_ASSIGN_OR_RETURN(PreparedStatementPtr ps,
                              CompileBound(std::move(graph), nullptr));
   STARBURST_ASSIGN_OR_RETURN(QueryOutput out, ExecuteCompiled(*ps, nullptr));
@@ -1478,8 +1508,8 @@ Status Database::AnalyzeAll() {
 // Observability: statement bookkeeping and the sys.* virtual tables
 // ---------------------------------------------------------------------------
 
-void Database::FinishStatement(const std::string& sql, const Status& status,
-                               uint64_t rows, double total_us) {
+void Database::FinishStatement(const Status& status, uint64_t rows,
+                               double total_us) {
   StatementState& s = stmt_state();
   // Governance outcomes get their own labels so an operator can tell a
   // killed statement from a genuinely failed one.
@@ -1491,10 +1521,15 @@ void Database::FinishStatement(const std::string& sql, const Status& status,
       default: label = s.admission_rejected ? "rejected" : "error"; break;
     }
   }
-  // The registry retirement happens even with metrics off: the live
-  // entry was registered unconditionally (KILL must always work).
-  statements_.Finish(s.id, label, s.metrics.peak_memory_bytes,
-                     static_cast<int64_t>(total_us));
+  // The registry retirement runs last, after the log append below, so a
+  // sys.statements scan (registry first, then log) never misses the
+  // statement. It runs even with metrics off: the live entry was
+  // registered unconditionally (KILL must always work).
+  struct Retire {
+    StatementRegistry* registry;
+    int64_t id;
+    ~Retire() { registry->Finish(id); }
+  } retire{&statements_, s.row.id};
   {
     std::lock_guard<std::mutex> lock(last_metrics_mu_);
     last_metrics_ = s.metrics;
@@ -1522,12 +1557,11 @@ void Database::FinishStatement(const std::string& sql, const Status& status,
         static_cast<double>(s.metrics.peak_memory_bytes));
   }
 
-  obs::QueryLogEntry entry;
-  // The statement's start instant (not its completion): `ts_us +
-  // total_us` reconstructs the end, and concurrent logs sort by when
-  // work actually began.
-  entry.ts_us = s.start_ts_us;
-  entry.sql = NormalizeSql(sql);
+  // The statement's row keeps the id it had while live (so
+  // sys.statements and sys.query_log agree on it), its start instant
+  // (`ts_us + total_us` reconstructs the end), its last phase, its
+  // workload labels and the parallelism it actually ran with.
+  obs::QueryLogEntry entry = std::move(s.row);
   entry.status = label;
   if (!status.ok()) entry.error = status.message();
   entry.rows = rows;
@@ -1542,11 +1576,6 @@ void Database::FinishStatement(const std::string& sql, const Status& status,
   entry.plan_cache_hit = stmt_state().metrics.plan_cache_hit;
   entry.spill_bytes = stmt_state().metrics.spill_bytes;
   entry.peak_memory_bytes = stmt_state().metrics.peak_memory_bytes;
-  // The parallelism the statement actually ran with (stamped from the
-  // executed plan), not whatever the session knob says now.
-  entry.parallelism = s.parallelism;
-  entry.priority = s.priority_label;
-  entry.klass = s.class_label;
   entry.slow =
       slow_query_us_ > 0 && run_us >= static_cast<double>(slow_query_us_);
   if (entry.slow) {
@@ -1557,206 +1586,219 @@ void Database::FinishStatement(const std::string& sql, const Status& status,
             std::to_string(entry.total_us) + "\"");
   }
   query_log_.Append(std::move(entry));
-
-  RefreshMetricsMirrors();
 }
 
 void Database::RefreshMetricsMirrors() {
-  const PlanCache::Stats& pc = plan_cache_.stats();
-  em_.plan_cache_hits->Set(pc.hits);
-  em_.plan_cache_misses->Set(pc.misses);
-  em_.plan_cache_invalidations->Set(pc.invalidations);
-  em_.plan_cache_evictions->Set(pc.evictions);
-  em_.plan_cache_entries->Set(static_cast<double>(plan_cache_.size()));
-
-  StorageEngine::Stats st = storage_.GatherStats();
-  em_.buffer_pool_logical_reads->Set(st.buffer_pool.logical_reads);
-  em_.buffer_pool_cache_hits->Set(st.buffer_pool.cache_hits);
-  em_.buffer_pool_disk_reads->Set(st.buffer_pool.disk_reads);
-  em_.buffer_pool_disk_writes->Set(st.buffer_pool.disk_writes);
-
-  em_.spill_files_created->Set(SpillFile::total_count());
-  em_.spill_bytes_written->Set(SpillFile::total_bytes());
-  em_.spill_live_files->Set(static_cast<double>(SpillFile::live_count()));
-  em_.spill_live_bytes->Set(static_cast<double>(SpillFile::live_bytes()));
-
-  em_.scheduler_tasks_run->Set(exec::parallel::TaskScheduler::total_tasks_run());
-  em_.scheduler_workers_spawned->Set(
-      exec::parallel::TaskScheduler::total_workers_spawned());
-  em_.scheduler_preemptions->Set(
-      static_cast<double>(exec::parallel::TaskScheduler::total_preemptions()));
-
-  AdmissionController::Stats adm = admission_.stats();
-  em_.admission_queued_total->Set(static_cast<double>(adm.queued_total));
-  em_.admission_rejected_total->Set(static_cast<double>(adm.rejected_total));
-  em_.admission_timeouts_total->Set(static_cast<double>(adm.timeout_total));
-  em_.admission_cancelled_while_queued_total->Set(
-      static_cast<double>(adm.cancelled_while_queued_total));
-  em_.admission_aged_total->Set(static_cast<double>(adm.aged_total));
-  for (int c = 0; c < kNumPriorities; ++c) {
-    em_.admission_admitted_by_class[c]->Set(
-        static_cast<double>(adm.admitted_by_class[c]));
-    em_.admission_queued_by_class[c]->Set(
-        static_cast<double>(adm.queued_by_class[c]));
+  const LayerStats stats{.plan_cache = plan_cache_.stats(),
+                         .plan_cache_entries = plan_cache_.size(),
+                         .buffer_pool = storage_.GatherStats().buffer_pool,
+                         .admission = admission_.stats(),
+                         .statements_live = statements_.live_count(),
+                         .query_log_dropped = query_log_.dropped(),
+                         .query_log_cleared = query_log_.cleared()};
+  for (const Mirror& m : mirrors_) {
+    const uint64_t v = m.read(stats);
+    if (m.counter != nullptr) {
+      m.counter->Set(v);
+    } else {
+      m.gauge->Set(static_cast<double>(v));
+    }
   }
-  em_.admission_waiting->Set(static_cast<double>(adm.waiting_now));
-  em_.admission_in_use_bytes->Set(static_cast<double>(adm.in_use_bytes));
-  em_.admission_budget_bytes->Set(static_cast<double>(adm.budget_bytes));
-  em_.statements_live->Set(static_cast<double>(statements_.live_count()));
-  em_.query_log_dropped_total->Set(static_cast<double>(query_log_.dropped()));
-  em_.query_log_cleared_total->Set(static_cast<double>(query_log_.cleared()));
 }
 
+namespace {
+
+/// One column of a sys.* view: its catalog entry and how to read it from
+/// one row of the view's source.
+template <typename T>
+struct SysColumn {
+  const char* name;
+  TypeId type;
+  bool nullable;
+  Value (*read)(const T&);
+};
+
+Value FieldValue(int v) { return Value::Int(v); }
+Value FieldValue(int64_t v) { return Value::Int(v); }
+Value FieldValue(uint64_t v) { return Value::Int(static_cast<int64_t>(v)); }
+Value FieldValue(bool v) { return Value::Int(v ? 1 : 0); }
+Value FieldValue(double v) { return Value::Double(v); }
+Value FieldValue(const std::string& v) { return Value::String(v); }
+
+/// A column reader that serves one field of the row as is.
+template <auto Field, typename T>
+Value Read(const T& row) {
+  return FieldValue(row.*Field);
+}
+
+/// Declares the sys.* view `name`: the catalog schema and the scan-time
+/// row provider (one row per element `source()` returns) are both built
+/// from `columns`, so each column is named in one place.
+template <typename T, size_t N, typename Source>
+TableDef DefineSysView(SystemStorageManager* manager, const char* name,
+                       const SysColumn<T> (&columns)[N], Source source) {
+  TableDef def;
+  def.name = name;
+  def.storage_manager = "SYSTEM";
+  // Nominal stats: the optimizer should not treat a system view as
+  // empty (rows materialize at scan time).
+  def.stats.row_count = 64;
+  def.stats.page_count = 1;
+  for (const SysColumn<T>& c : columns) {
+    def.schema.AddColumn(ColumnDef{c.name, DataType(c.type), c.nullable});
+  }
+  // `columns` is a static table, so the provider may keep a view of it.
+  std::span<const SysColumn<T>> view(columns);
+  manager->RegisterTable(name, [view, source] {
+    std::vector<Row> rows;
+    for (const T& item : source()) {
+      std::vector<Value> values;
+      values.reserve(N);
+      for (const SysColumn<T>& c : view) values.push_back(c.read(item));
+      rows.emplace_back(std::move(values));
+    }
+    return rows;
+  });
+  return def;
+}
+
+}  // namespace
+
 void Database::RegisterSystemTables() {
+  using K = TypeId;
+  using Sample = obs::MetricsRegistry::Sample;
+  static constexpr SysColumn<Sample> kMetrics[] = {
+      {"name", K::kString, false, Read<&Sample::name>},
+      {"kind", K::kString, false, Read<&Sample::kind>},
+      {"value", K::kDouble, false, Read<&Sample::value>},
+  };
+
+  using E = obs::QueryLogEntry;
+  static constexpr SysColumn<E> kQueryLog[] = {
+      {"id", K::kInt, false, Read<&E::id>},
+      {"ts_us", K::kInt, false, Read<&E::ts_us>},
+      {"sql", K::kString, false, Read<&E::sql>},
+      {"status", K::kString, false, Read<&E::status>},
+      {"error", K::kString, true,
+       [](const E& e) {
+         return e.error.empty() ? Value::Null() : Value::String(e.error);
+       }},
+      {"rows", K::kInt, false, Read<&E::rows>},
+      {"parse_us", K::kInt, false, Read<&E::parse_us>},
+      {"bind_us", K::kInt, false, Read<&E::bind_us>},
+      {"rewrite_us", K::kInt, false, Read<&E::rewrite_us>},
+      {"optimize_us", K::kInt, false, Read<&E::optimize_us>},
+      {"refine_us", K::kInt, false, Read<&E::refine_us>},
+      {"execute_us", K::kInt, false, Read<&E::execute_us>},
+      {"total_us", K::kInt, false, Read<&E::total_us>},
+      {"plan_cache_hit", K::kInt, false, Read<&E::plan_cache_hit>},
+      {"spill_bytes", K::kInt, false, Read<&E::spill_bytes>},
+      {"peak_memory_bytes", K::kInt, false, Read<&E::peak_memory_bytes>},
+      {"parallelism", K::kInt, false, Read<&E::parallelism>},
+      {"slow", K::kInt, false, Read<&E::slow>},
+      {"queue_us", K::kInt, false, Read<&E::queue_us>},
+      {"priority", K::kString, false, Read<&E::priority>},
+      {"class", K::kString, false, Read<&E::klass>},
+  };
+
+  // Live statements and finished ones, in the same row shape.
+  static constexpr SysColumn<E> kStatements[] = {
+      {"id", K::kInt, false, Read<&E::id>},
+      {"sql", K::kString, false, Read<&E::sql>},
+      {"status", K::kString, false, Read<&E::status>},
+      {"phase", K::kString, false, Read<&E::phase>},
+      {"start_ts_us", K::kInt, false, Read<&E::ts_us>},
+      {"total_us", K::kInt, false, Read<&E::total_us>},
+      {"peak_memory_bytes", K::kInt, false, Read<&E::peak_memory_bytes>},
+      {"priority", K::kString, false, Read<&E::priority>},
+      {"class", K::kString, false, Read<&E::klass>},
+      {"queue_us", K::kInt, false, Read<&E::queue_us>},
+  };
+
+  struct CachedPlan {
+    int64_t position;  // 0 = most recently used
+    std::string sql;
+    PreparedStatementPtr ps;
+    bool fresh;
+  };
+  static constexpr SysColumn<CachedPlan> kPlanCache[] = {
+      {"position", K::kInt, false, Read<&CachedPlan::position>},
+      {"sql", K::kString, false, Read<&CachedPlan::sql>},
+      {"num_params", K::kInt, false,
+       [](const CachedPlan& p) { return FieldValue(p.ps->num_params); }},
+      {"cost", K::kDouble, false,
+       [](const CachedPlan& p) { return FieldValue(p.ps->plan_cost); }},
+      {"cardinality", K::kDouble, false,
+       [](const CachedPlan& p) { return FieldValue(p.ps->plan_cardinality); }},
+      {"catalog_version", K::kInt, false,
+       [](const CachedPlan& p) { return FieldValue(p.ps->catalog_version); }},
+      {"fresh", K::kInt, false, Read<&CachedPlan::fresh>},
+  };
+
+  struct SettingValue {
+    const Setting* setting;
+    int64_t value;  // in force now
+  };
+  static constexpr SysColumn<SettingValue> kSettings[] = {
+      {"name", K::kString, false,
+       [](const SettingValue& v) { return Value::String(v.setting->name); }},
+      {"value", K::kString, false,
+       [](const SettingValue& v) {
+         return Value::String(SettingText(*v.setting, v.value));
+       }},
+      {"default_value", K::kString, false,
+       [](const SettingValue& v) {
+         return Value::String(SettingText(*v.setting, v.setting->def));
+       }},
+      {"unit", K::kString, false,
+       [](const SettingValue& v) { return Value::String(v.setting->unit); }},
+  };
+
+  // Live rows first, then the log. A statement enters the log before it
+  // leaves the registry, so reading in this order never misses one; a
+  // logged id that is still live is skipped so none shows twice.
+  auto statements = [this] {
+    std::vector<E> rows = statements_.Snapshot();
+    std::set<int64_t> live;
+    for (const E& e : rows) live.insert(e.id);
+    for (E& e : query_log_.Snapshot()) {
+      if (live.count(e.id) == 0) rows.push_back(std::move(e));
+    }
+    return rows;
+  };
+
   std::unique_ptr<SystemStorageManager> manager = MakeSystemStorageManager();
-  manager->RegisterTable("sys.metrics", [this] { return MetricsRows(); });
-  manager->RegisterTable("sys.query_log", [this] { return QueryLogRows(); });
-  manager->RegisterTable("sys.plan_cache", [this] { return PlanCacheRows(); });
-  manager->RegisterTable("sys.statements", [this] { return StatementRows(); });
-  manager->RegisterTable("sys.settings", [this] { return SettingsRows(); });
+  SystemStorageManager* m = manager.get();
+  const TableDef defs[] = {
+      DefineSysView(m, "sys.metrics", kMetrics, [this] {
+        RefreshMetricsMirrors();
+        return metrics_registry_.Snapshot();
+      }),
+      DefineSysView(m, "sys.query_log", kQueryLog,
+                    [this] { return query_log_.Snapshot(); }),
+      DefineSysView(m, "sys.plan_cache", kPlanCache, [this] {
+        std::vector<CachedPlan> plans;
+        for (auto& [sql, ps] : plan_cache_.Entries()) {
+          const bool fresh = ps->FreshAgainst(catalog_);
+          plans.push_back({static_cast<int64_t>(plans.size()), std::move(sql),
+                           std::move(ps), fresh});
+        }
+        return plans;
+      }),
+      DefineSysView(m, "sys.statements", kStatements, statements),
+      DefineSysView(m, "sys.settings", kSettings, [this] {
+        std::vector<SettingValue> values;
+        for (const Setting& s : Settings()) values.push_back({&s, s.get(*this)});
+        return values;
+      }),
+  };
   Status registered = storage_.storage_managers().Register(std::move(manager));
   (void)registered;  // fresh registry: "SYSTEM" cannot collide
-
-  auto define = [this](const char* name, TableSchema schema) {
-    TableDef def;
-    def.name = name;
-    def.schema = std::move(schema);
-    def.storage_manager = "SYSTEM";
-    // Nominal stats: the optimizer should not treat a system view as
-    // empty (rows materialize at scan time).
-    def.stats.row_count = 64;
-    def.stats.page_count = 1;
+  for (const TableDef& def : defs) {
     if (catalog_.CreateTable(def).ok()) {
       (void)storage_.CreateTable(def);
     }
-  };
-
-  TableSchema metrics;
-  metrics.AddColumn(ColumnDef{"name", DataType::String(), false});
-  metrics.AddColumn(ColumnDef{"kind", DataType::String(), false});
-  metrics.AddColumn(ColumnDef{"value", DataType::Double(), false});
-  define("sys.metrics", std::move(metrics));
-
-  TableSchema qlog;
-  qlog.AddColumn(ColumnDef{"id", DataType::Int(), false});
-  qlog.AddColumn(ColumnDef{"ts_us", DataType::Int(), false});
-  qlog.AddColumn(ColumnDef{"sql", DataType::String(), false});
-  qlog.AddColumn(ColumnDef{"status", DataType::String(), false});
-  qlog.AddColumn(ColumnDef{"error", DataType::String(), true});
-  qlog.AddColumn(ColumnDef{"rows", DataType::Int(), false});
-  qlog.AddColumn(ColumnDef{"parse_us", DataType::Int(), false});
-  qlog.AddColumn(ColumnDef{"bind_us", DataType::Int(), false});
-  qlog.AddColumn(ColumnDef{"rewrite_us", DataType::Int(), false});
-  qlog.AddColumn(ColumnDef{"optimize_us", DataType::Int(), false});
-  qlog.AddColumn(ColumnDef{"refine_us", DataType::Int(), false});
-  qlog.AddColumn(ColumnDef{"execute_us", DataType::Int(), false});
-  qlog.AddColumn(ColumnDef{"total_us", DataType::Int(), false});
-  qlog.AddColumn(ColumnDef{"plan_cache_hit", DataType::Int(), false});
-  qlog.AddColumn(ColumnDef{"spill_bytes", DataType::Int(), false});
-  qlog.AddColumn(ColumnDef{"peak_memory_bytes", DataType::Int(), false});
-  qlog.AddColumn(ColumnDef{"parallelism", DataType::Int(), false});
-  qlog.AddColumn(ColumnDef{"slow", DataType::Int(), false});
-  qlog.AddColumn(ColumnDef{"queue_us", DataType::Int(), false});
-  qlog.AddColumn(ColumnDef{"priority", DataType::String(), false});
-  qlog.AddColumn(ColumnDef{"class", DataType::String(), false});
-  define("sys.query_log", std::move(qlog));
-
-  TableSchema stmts;
-  stmts.AddColumn(ColumnDef{"id", DataType::Int(), false});
-  stmts.AddColumn(ColumnDef{"sql", DataType::String(), false});
-  stmts.AddColumn(ColumnDef{"status", DataType::String(), false});
-  stmts.AddColumn(ColumnDef{"phase", DataType::String(), false});
-  stmts.AddColumn(ColumnDef{"start_ts_us", DataType::Int(), false});
-  stmts.AddColumn(ColumnDef{"total_us", DataType::Int(), false});
-  stmts.AddColumn(ColumnDef{"peak_memory_bytes", DataType::Int(), false});
-  stmts.AddColumn(ColumnDef{"priority", DataType::String(), false});
-  stmts.AddColumn(ColumnDef{"class", DataType::String(), false});
-  stmts.AddColumn(ColumnDef{"queue_us", DataType::Int(), false});
-  define("sys.statements", std::move(stmts));
-
-  TableSchema pcache;
-  pcache.AddColumn(ColumnDef{"position", DataType::Int(), false});
-  pcache.AddColumn(ColumnDef{"sql", DataType::String(), false});
-  pcache.AddColumn(ColumnDef{"num_params", DataType::Int(), false});
-  pcache.AddColumn(ColumnDef{"cost", DataType::Double(), false});
-  pcache.AddColumn(ColumnDef{"cardinality", DataType::Double(), false});
-  pcache.AddColumn(ColumnDef{"catalog_version", DataType::Int(), false});
-  pcache.AddColumn(ColumnDef{"fresh", DataType::Int(), false});
-  define("sys.plan_cache", std::move(pcache));
-
-  TableSchema settings;
-  for (const char* column : {"name", "value", "default_value", "unit"}) {
-    settings.AddColumn(ColumnDef{column, DataType::String(), false});
   }
-  define("sys.settings", std::move(settings));
-}
-
-std::vector<Row> Database::MetricsRows() {
-  RefreshMetricsMirrors();
-  std::vector<Row> rows;
-  for (const obs::MetricsRegistry::Sample& s : metrics_registry_.Snapshot()) {
-    rows.push_back(Row({Value::String(s.name), Value::String(s.kind),
-                        Value::Double(s.value)}));
-  }
-  return rows;
-}
-
-std::vector<Row> Database::QueryLogRows() const {
-  std::vector<Row> rows;
-  for (const obs::QueryLogEntry& e : query_log_.Snapshot()) {
-    auto u = [](uint64_t v) { return Value::Int(static_cast<int64_t>(v)); };
-    rows.push_back(Row({u(e.id), Value::Int(e.ts_us), Value::String(e.sql),
-                        Value::String(e.status),
-                        e.error.empty() ? Value::Null()
-                                        : Value::String(e.error),
-                        u(e.rows), u(e.parse_us), u(e.bind_us),
-                        u(e.rewrite_us), u(e.optimize_us), u(e.refine_us),
-                        u(e.execute_us), u(e.total_us),
-                        Value::Int(e.plan_cache_hit ? 1 : 0), u(e.spill_bytes),
-                        u(e.peak_memory_bytes), Value::Int(e.parallelism),
-                        Value::Int(e.slow ? 1 : 0), u(e.queue_us),
-                        Value::String(e.priority), Value::String(e.klass)}));
-  }
-  return rows;
-}
-
-std::vector<Row> Database::StatementRows() const {
-  std::vector<Row> rows;
-  for (const StatementSnapshot& s : statements_.Snapshot()) {
-    rows.push_back(
-        Row({Value::Int(s.id), Value::String(s.sql), Value::String(s.status),
-             Value::String(s.phase), Value::Int(s.start_ts_us),
-             Value::Int(s.total_us),
-             Value::Int(static_cast<int64_t>(s.peak_memory_bytes)),
-             Value::String(s.priority), Value::String(s.klass),
-             Value::Int(s.queue_us)}));
-  }
-  return rows;
-}
-
-std::vector<Row> Database::SettingsRows() const {
-  std::vector<Row> rows;
-  for (const Setting& s : Settings()) {
-    rows.push_back(Row({Value::String(s.name),
-                        Value::String(SettingText(s, s.get(*this))),
-                        Value::String(SettingText(s, s.def)),
-                        Value::String(s.unit)}));
-  }
-  return rows;
-}
-
-std::vector<Row> Database::PlanCacheRows() const {
-  std::vector<Row> rows;
-  int64_t position = 0;  // 0 = most recently used
-  for (const auto& [sql, ps] : plan_cache_.Entries()) {
-    rows.push_back(Row({Value::Int(position++), Value::String(sql),
-                        Value::Int(static_cast<int64_t>(ps->num_params)),
-                        Value::Double(ps->plan_cost),
-                        Value::Double(ps->plan_cardinality),
-                        Value::Int(static_cast<int64_t>(ps->catalog_version)),
-                        Value::Int(ps->FreshAgainst(catalog_) ? 1 : 0)}));
-  }
-  return rows;
 }
 
 Status Database::RejectSystemTarget(const std::string& name,

@@ -131,8 +131,8 @@ class Database {
   /// concurrent Execute calls — read it from a quiesced session.
   const QueryMetrics& last_metrics() const { return last_metrics_; }
 
-  /// Live + recently finished statements — the registry behind
-  /// `sys.statements` and the resolver for `KILL <id>`.
+  /// Live statements — the resolver for `KILL <id>` and the live half
+  /// of `sys.statements`.
   StatementRegistry& statement_registry() { return statements_; }
   const StatementRegistry& statement_registry() const { return statements_; }
 
@@ -157,13 +157,15 @@ class Database {
     return metrics_registry_;
   }
 
-  /// Ring-buffered per-statement history — the relation behind
-  /// `sys.query_log`.
+  /// Ring-buffered history of finished statements — the relation behind
+  /// `sys.query_log` and the finished half of `sys.statements`.
   obs::QueryLog& query_log() { return query_log_; }
   const obs::QueryLog& query_log() const { return query_log_; }
 
-  /// Statement bookkeeping switch (query log + registry updates). On by
+  /// Statement bookkeeping switch (query log + engine counters). On by
   /// default; benches flip it off to measure the disabled-path cost.
+  /// Statements still register as live (KILL works), but finished ones
+  /// are not logged.
   bool metrics_enabled() const { return metrics_enabled_; }
   void set_metrics_enabled(bool on) { metrics_enabled_ = on; }
 
@@ -176,9 +178,11 @@ class Database {
   /// scan's remaining morsels (see TaskScheduler).
   exec::parallel::TaskScheduler& task_scheduler() { return scheduler_; }
 
-  /// Re-mirrors layer counters (plan cache, buffer pool, spill files,
-  /// scheduler) into the registry so an externally taken snapshot is
-  /// current. `sys.metrics` scans and \metrics call this implicitly.
+  /// Copies the layer-owned counters and gauges (plan cache, buffer pool,
+  /// spill files, scheduler, admission, registry, query log) into the
+  /// metrics registry. Mirrors are refreshed only here: `sys.metrics`
+  /// scans call it, and any other reader of metrics_registry() must call
+  /// it first.
   void RefreshMetricsMirrors();
 
  private:
@@ -190,14 +194,13 @@ class Database {
   struct StatementState {
     QueryMetrics metrics;
     CancelToken cancel;
-    int64_t id = 0;          // registry id; 0 = not registered (Prepare)
-    int64_t start_ts_us = 0; // wall-clock statement start
-    int parallelism = 1;     // what the executed plan was refined with
+    /// The statement's record as it builds up: id (0 = not registered,
+    /// as for Prepare), normalized SQL, start time, phase, workload
+    /// labels and the parallelism the executed plan was refined with.
+    /// The registry mirrors it while live; FinishStatement completes it
+    /// into the query-log entry.
+    obs::QueryLogEntry row;
     bool admission_rejected = false;  // fail-fast path, for "rejected"
-    /// Workload labels stamped when a compiled plan is executed
-    /// (literals; defaults cover DDL/DML, which never classify).
-    const char* priority_label = "normal";
-    const char* class_label = "fast";
   };
   static StatementState& stmt_state();
 
@@ -205,22 +208,19 @@ class Database {
   /// the registry id, arms the deadline, and registers the statement as
   /// live (so KILL can find it from another thread).
   void BeginStatement(const std::string& sql);
+  /// Moves the current statement to `phase` and publishes its row's
+  /// phase, workload labels and queue wait to the registry.
+  void EnterPhase(const char* phase);
   /// Execute minus the statement bookkeeping wrapper.
   Result<ResultSet> ExecuteInternal(const std::string& sql);
-  /// Statement epilogue: appends the query-log entry, advances the
-  /// engine counters, observes the latency histogram, flags/traces slow
-  /// statements, and re-mirrors layer counters. No-op when metrics are
-  /// disabled.
-  void FinishStatement(const std::string& sql, const Status& status,
-                       uint64_t rows, double total_us);
-  /// Registers the SYSTEM storage manager, its row providers, and the
-  /// sys.* table definitions (constructor-time).
+  /// Statement epilogue: publishes last_metrics(); with metrics enabled,
+  /// advances the engine counters, observes the latency histogram,
+  /// flags/traces slow statements and appends the query-log entry; then
+  /// retires the live registry entry.
+  void FinishStatement(const Status& status, uint64_t rows, double total_us);
+  /// Registers the SYSTEM storage manager and the five sys.* views, each
+  /// declared once as a column list (constructor-time).
   void RegisterSystemTables();
-  std::vector<Row> MetricsRows();
-  std::vector<Row> QueryLogRows() const;
-  std::vector<Row> PlanCacheRows() const;
-  std::vector<Row> StatementRows() const;
-  std::vector<Row> SettingsRows() const;
   /// Clear error for any DDL/DML aimed at the reserved sys schema.
   Status RejectSystemTarget(const std::string& name, const char* verb) const;
 
@@ -278,6 +278,9 @@ class Database {
   /// re-executable artifact, filling the compile-phase metrics.
   Result<PreparedStatementPtr> CompileSelect(const ast::Query& query,
                                              PipelineCapture* capture);
+  /// Parses `sql`, requires a SELECT and compiles it (Prepare and the
+  /// stale-handle recompile in ExecutePrepared).
+  Result<PreparedStatementPtr> CompileSelectText(const std::string& sql);
   /// The compile half after bind: rewrite, optimize (with the DBC STARs)
   /// and refine under the session's exec options.
   Result<PreparedStatementPtr> CompileBound(std::unique_ptr<qgm::Graph> bound,
@@ -354,49 +357,33 @@ class Database {
   /// never share an id.
   std::atomic<uint64_t> statement_seq_{0};
 
-  /// Registry pointers resolved once at construction; statement-end
-  /// bookkeeping then touches only their atomics.
+  /// The metrics the engine writes itself, resolved once at
+  /// construction; statement-end bookkeeping then touches only their
+  /// atomics.
   struct EngineMetrics {
     obs::Counter* queries_total = nullptr;
     obs::Counter* query_errors_total = nullptr;
     obs::Counter* slow_queries_total = nullptr;
     obs::Histogram* query_latency_us = nullptr;
-    obs::Counter* plan_cache_hits = nullptr;
-    obs::Counter* plan_cache_misses = nullptr;
-    obs::Counter* plan_cache_invalidations = nullptr;
-    obs::Counter* plan_cache_evictions = nullptr;
-    obs::Gauge* plan_cache_entries = nullptr;
-    obs::Counter* buffer_pool_logical_reads = nullptr;
-    obs::Counter* buffer_pool_cache_hits = nullptr;
-    obs::Counter* buffer_pool_disk_reads = nullptr;
-    obs::Counter* buffer_pool_disk_writes = nullptr;
-    obs::Counter* spill_files_created = nullptr;
-    obs::Counter* spill_bytes_written = nullptr;
-    obs::Gauge* spill_live_files = nullptr;
-    obs::Gauge* spill_live_bytes = nullptr;
-    obs::Counter* scheduler_tasks_run = nullptr;
-    obs::Counter* scheduler_workers_spawned = nullptr;
     obs::Gauge* memory_query_peak_bytes = nullptr;
     obs::Gauge* memory_query_peak_max_bytes = nullptr;
     obs::Counter* statements_killed_total = nullptr;
     obs::Counter* statements_cancelled_total = nullptr;
     obs::Counter* statements_timed_out_total = nullptr;
-    obs::Counter* admission_queued_total = nullptr;
-    obs::Counter* admission_rejected_total = nullptr;
-    obs::Counter* admission_timeouts_total = nullptr;
-    obs::Counter* admission_cancelled_while_queued_total = nullptr;
-    obs::Counter* admission_aged_total = nullptr;
-    obs::Counter* admission_admitted_by_class[kNumPriorities] = {};
-    obs::Counter* admission_queued_by_class[kNumPriorities] = {};
-    obs::Gauge* admission_waiting = nullptr;
-    obs::Gauge* admission_in_use_bytes = nullptr;
-    obs::Gauge* admission_budget_bytes = nullptr;
-    obs::Counter* scheduler_preemptions = nullptr;
-    obs::Gauge* statements_live = nullptr;
-    obs::Counter* query_log_dropped_total = nullptr;
-    obs::Counter* query_log_cleared_total = nullptr;
   };
   EngineMetrics em_;
+
+  /// Every layer's stats, taken once per RefreshMetricsMirrors (defined
+  /// in database.cc).
+  struct LayerStats;
+  /// A registered mirror of one layer-owned value (the table of them is
+  /// in the constructor).
+  struct Mirror {
+    obs::Counter* counter;  // exactly one of counter and gauge is set
+    obs::Gauge* gauge;
+    uint64_t (*read)(const LayerStats&);
+  };
+  std::vector<Mirror> mirrors_;
 };
 
 }  // namespace starburst

@@ -4,35 +4,25 @@
 
 namespace starburst {
 
-void StatementRegistry::Register(int64_t id, std::string sql,
-                                 int64_t start_ts_us, CancelToken* token) {
-  if (sql.size() > kMaxSqlLength) {
-    sql.resize(kMaxSqlLength - 3);
-    sql += "...";
-  }
+void StatementRegistry::Register(obs::QueryLogEntry row,
+                                 CancelToken* token) {
+  obs::QueryLog::TruncateSql(&row.sql);
+  row.status = "running";
+  const int64_t id = row.id;
+  Live live{std::move(row), token, nullptr};
   std::lock_guard<std::mutex> lock(mu_);
-  Live& live = live_[id];
-  live.sql = std::move(sql);
-  live.start_ts_us = start_ts_us;
-  live.phase = "parse";
-  live.token = token;
-  live.memory = nullptr;
+  live_.insert_or_assign(id, std::move(live));
 }
 
-void StatementRegistry::SetPhase(int64_t id, const char* phase) {
+void StatementRegistry::Update(const obs::QueryLogEntry& row) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = live_.find(id);
-  if (it != live_.end()) it->second.phase = phase;
-}
-
-void StatementRegistry::SetWorkload(int64_t id, const char* priority,
-                                    const char* klass, int64_t queue_us) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = live_.find(id);
+  auto it = live_.find(row.id);
   if (it == live_.end()) return;
-  if (priority != nullptr) it->second.priority = priority;
-  if (klass != nullptr) it->second.klass = klass;
-  if (queue_us >= 0) it->second.queue_us = queue_us;
+  obs::QueryLogEntry& live = it->second.row;
+  live.phase = row.phase;
+  live.priority = row.priority;
+  live.klass = row.klass;
+  live.queue_us = row.queue_us;
 }
 
 void StatementRegistry::SetMemoryTracker(int64_t id,
@@ -42,25 +32,9 @@ void StatementRegistry::SetMemoryTracker(int64_t id,
   if (it != live_.end()) it->second.memory = tracker;
 }
 
-void StatementRegistry::Finish(int64_t id, const std::string& status,
-                               uint64_t peak_memory_bytes, int64_t total_us) {
+void StatementRegistry::Finish(int64_t id) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = live_.find(id);
-  if (it == live_.end()) return;
-  StatementSnapshot snap;
-  snap.id = id;
-  snap.sql = std::move(it->second.sql);
-  snap.status = status;
-  snap.phase = it->second.phase;
-  snap.start_ts_us = it->second.start_ts_us;
-  snap.total_us = total_us;
-  snap.peak_memory_bytes = peak_memory_bytes;
-  snap.priority = it->second.priority;
-  snap.klass = it->second.klass;
-  snap.queue_us = it->second.queue_us;
-  live_.erase(it);
-  history_.push_back(std::move(snap));
-  while (history_.size() > history_capacity_) history_.pop_front();
+  live_.erase(id);
 }
 
 Status StatementRegistry::Kill(int64_t id) {
@@ -74,37 +48,22 @@ Status StatementRegistry::Kill(int64_t id) {
   return Status::OK();
 }
 
-std::vector<StatementSnapshot> StatementRegistry::Snapshot() const {
+std::vector<obs::QueryLogEntry> StatementRegistry::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<StatementSnapshot> out;
-  out.reserve(live_.size() + history_.size());
+  std::vector<obs::QueryLogEntry> out;
+  out.reserve(live_.size());
   for (const auto& [id, live] : live_) {
-    StatementSnapshot snap;
-    snap.id = id;
-    snap.sql = live.sql;
-    snap.status = "running";
-    snap.phase = live.phase;
-    snap.start_ts_us = live.start_ts_us;
-    snap.total_us = 0;
-    snap.peak_memory_bytes = live.memory != nullptr ? live.memory->peak() : 0;
-    snap.priority = live.priority;
-    snap.klass = live.klass;
-    snap.queue_us = live.queue_us;
-    out.push_back(std::move(snap));
+    out.push_back(live.row);
+    if (live.memory != nullptr) {
+      out.back().peak_memory_bytes = live.memory->peak();
+    }
   }
-  for (const StatementSnapshot& snap : history_) out.push_back(snap);
   return out;
 }
 
 size_t StatementRegistry::live_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return live_.size();
-}
-
-void StatementRegistry::set_history_capacity(size_t n) {
-  std::lock_guard<std::mutex> lock(mu_);
-  history_capacity_ = n;
-  while (history_.size() > history_capacity_) history_.pop_front();
 }
 
 }  // namespace starburst

@@ -2,7 +2,6 @@
 #define STARBURST_ENGINE_STATEMENT_REGISTRY_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <string>
@@ -11,55 +10,28 @@
 #include "common/cancel.h"
 #include "common/memory_tracker.h"
 #include "common/status.h"
+#include "obs/query_log.h"
 
 namespace starburst {
 
-/// One row of `sys.statements`: a statement currently executing, or one
-/// of the most recently finished (ring-buffered history). Modeled on
-/// qserv's wpublish per-query bookkeeping — the operator-facing answer
-/// to "what is the engine doing right now, and what did it just do".
-struct StatementSnapshot {
-  int64_t id = 0;
-  std::string sql;          // normalized, truncated
-  std::string status;       // "running" | "ok" | "error" | "cancelled" |
-                            // "timeout" | "rejected"
-  std::string phase;        // live: "parse"/"compile"/"queued"/"execute";
-                            // frozen at Finish for history rows
-  int64_t start_ts_us = 0;  // wall-clock statement start
-  int64_t total_us = 0;     // 0 while running
-  uint64_t peak_memory_bytes = 0;
-  std::string priority = "normal";  // scheduling class: high/normal/low
-  std::string klass = "fast";       // compile-time classification
-  int64_t queue_us = 0;             // admission queue wait
-};
-
 /// The engine's live-statement table: every statement registers at start
-/// and moves into a bounded finished-history ring at end. `KILL <id>`
-/// resolves its target here; `sys.statements` materializes from
-/// Snapshot(). All methods are thread-safe — registration, phase
-/// updates, kills, and snapshot scans arrive from different sessions.
+/// and leaves at end; its finished record lives on in obs::QueryLog.
+/// `KILL <id>` resolves its target here, and `sys.statements` lists
+/// Snapshot() before the query log. All methods are thread-safe —
+/// registration, phase updates, kills, and snapshot scans arrive from
+/// different sessions.
 class StatementRegistry {
  public:
-  static constexpr size_t kDefaultHistoryCapacity = 128;
-  static constexpr size_t kMaxSqlLength = 512;
+  /// Admits a live statement under `row.id` with status "running"; `row`
+  /// carries its normalized SQL, start time and phase. `token` must
+  /// outlive the statement (it is the per-statement CancelToken owned by
+  /// the session state); KILL flips it through this registry.
+  void Register(obs::QueryLogEntry row, CancelToken* token);
 
-  /// Admits a live statement. `token` must outlive the statement (it is
-  /// the per-statement CancelToken owned by the session state); KILL
-  /// flips it through this registry.
-  void Register(int64_t id, std::string sql, int64_t start_ts_us,
-                CancelToken* token);
-
-  /// Updates the live phase label. `phase` must be a string literal (the
-  /// registry stores the pointer). Unknown ids are ignored — compile
-  /// paths that run outside a registered statement (Prepare) pass id 0.
-  void SetPhase(int64_t id, const char* phase);
-
-  /// Stamps the live entry's workload columns once the statement is
-  /// classified (compile time) and once its admission wait is known.
-  /// `priority` and `klass` must be string literals (the registry stores
-  /// the pointers); pass nullptr to leave a field unchanged.
-  void SetWorkload(int64_t id, const char* priority, const char* klass,
-                   int64_t queue_us);
+  /// Copies the phase, workload labels and queue wait of `row` into the
+  /// live entry with its id. Unknown ids are ignored — compile paths
+  /// that run outside a registered statement (Prepare) pass id 0.
+  void Update(const obs::QueryLogEntry& row);
 
   /// Points the live entry at the executing query's memory tracker so
   /// snapshots report a live peak. Cleared (nullptr) by the executor
@@ -67,39 +39,28 @@ class StatementRegistry {
   /// snapshot reads are safe.
   void SetMemoryTracker(int64_t id, const MemoryTracker* tracker);
 
-  /// Retires a live statement into history with its final status
-  /// ("ok"/"error"/"cancelled"/"timeout"/"rejected"). Unknown ids are
-  /// ignored.
-  void Finish(int64_t id, const std::string& status,
-              uint64_t peak_memory_bytes, int64_t total_us);
+  /// Retires a live statement. Unknown ids are ignored.
+  void Finish(int64_t id);
 
   /// Trips the statement's cancel token. NotFound when `id` is not live
   /// (finished statements cannot be killed).
   Status Kill(int64_t id);
 
-  /// Live statements (oldest first), then finished history (newest
-  /// last) — the `sys.statements` relation.
-  std::vector<StatementSnapshot> Snapshot() const;
+  /// Live statements, oldest first, in the query log's row shape
+  /// (status "running", total_us 0).
+  std::vector<obs::QueryLogEntry> Snapshot() const;
 
   size_t live_count() const;
-  void set_history_capacity(size_t n);
 
  private:
   struct Live {
-    std::string sql;
-    int64_t start_ts_us = 0;
-    const char* phase = "parse";
-    const char* priority = "normal";
-    const char* klass = "fast";
-    int64_t queue_us = 0;
+    obs::QueryLogEntry row;
     CancelToken* token = nullptr;
     const MemoryTracker* memory = nullptr;
   };
 
   mutable std::mutex mu_;
   std::map<int64_t, Live> live_;
-  std::deque<StatementSnapshot> history_;
-  size_t history_capacity_ = kDefaultHistoryCapacity;
 };
 
 }  // namespace starburst

@@ -2,23 +2,20 @@
 
 namespace starburst::obs {
 
+void QueryLog::TruncateSql(std::string* sql) {
+  if (sql->size() <= kMaxSqlLength) return;
+  sql->resize(kMaxSqlLength - 3);
+  *sql += "...";
+}
+
 void QueryLog::Append(QueryLogEntry entry) {
+  TruncateSql(&entry.sql);
   std::lock_guard<std::mutex> lock(mu_);
-  entry.id = next_id_++;
-  // Capacity 0 means logging is disabled: the statement still gets an id
-  // (total() keeps counting), but nothing is retained and nothing is
-  // counted as dropped — an empty ring never evicted anything.
+  ++total_;
+  // Capacity 0 means logging is disabled: total() keeps counting, but
+  // nothing is retained and nothing is counted as dropped — an empty ring
+  // never evicted anything.
   if (capacity_ == 0) return;
-  if (entry.sql.size() > kMaxSqlLength) {
-    // The ellipsis needs three characters of room; below that, truncate
-    // plainly rather than resizing past the limit.
-    if (kMaxSqlLength > 3) {
-      entry.sql.resize(kMaxSqlLength - 3);
-      entry.sql += "...";
-    } else {
-      entry.sql.resize(kMaxSqlLength);
-    }
-  }
   ring_.push_back(std::move(entry));
   while (ring_.size() > capacity_) {
     ring_.pop_front();
@@ -55,7 +52,7 @@ void QueryLog::set_capacity(size_t n) {
 
 uint64_t QueryLog::total() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return next_id_ - 1;
+  return total_;
 }
 
 uint64_t QueryLog::dropped() const {

@@ -9,14 +9,16 @@
 
 namespace starburst::obs {
 
-/// One finished statement's history record — the row shape served by
-/// `sys.query_log`.
+/// One statement's record — the row shape served by `sys.query_log` and,
+/// for finished and live statements alike, by `sys.statements`.
 struct QueryLogEntry {
-  uint64_t id = 0;          // monotonic statement number
+  int64_t id = 0;           // the engine's statement id (KILL target)
   int64_t ts_us = 0;        // wall-clock statement start (µs since epoch)
-  std::string sql;          // normalized, truncated to the log's limit
-  std::string status;       // "ok" | "error" | "cancelled" | "timeout" |
-                            // "rejected"
+  std::string sql;          // normalized, truncated to kMaxSqlLength
+  std::string status;       // "running" (live only) | "ok" | "error" |
+                            // "cancelled" | "timeout" | "rejected"
+  std::string phase;        // "parse"/"compile"/"queued"/"execute": the
+                            // current phase, or the one it finished in
   std::string error;        // empty when ok
   uint64_t rows = 0;        // rows returned (queries) or affected (DML)
   uint64_t parse_us = 0;
@@ -39,18 +41,19 @@ struct QueryLogEntry {
   std::string klass = "fast";       // compile-time classification
 };
 
-/// Ring-buffered per-query history. Append is a short critical section
-/// (one deque push + possible pop); snapshots copy the ring so readers
-/// never block writers for long. The capacity bounds memory (0 disables
-/// logging entirely), and total()/dropped()/cleared() account for
-/// everything that ever passed through.
+/// Ring-buffered history of finished statements — the engine's only one.
+/// Append is a short critical section (one deque push + possible pop);
+/// snapshots copy the ring so readers never block writers for long. The
+/// capacity bounds memory (0 disables logging entirely), and
+/// total()/dropped()/cleared() account for everything that ever passed
+/// through.
 class QueryLog {
  public:
   explicit QueryLog(size_t capacity = 256) : capacity_(capacity) {}
 
-  /// Stamps `entry.id` and appends, evicting the oldest past capacity.
-  /// With capacity 0 the entry is id-stamped but not retained (and not
-  /// counted as dropped — nothing was evicted).
+  /// Appends `entry` under the id its caller assigned, evicting the
+  /// oldest past capacity. With capacity 0 the entry is counted but not
+  /// retained (and not counted as dropped — nothing was evicted).
   void Append(QueryLogEntry entry);
 
   std::vector<QueryLogEntry> Snapshot() const;
@@ -68,12 +71,14 @@ class QueryLog {
 
   /// SQL longer than this is truncated with a trailing ellipsis.
   static constexpr size_t kMaxSqlLength = 512;
+  /// Truncates `sql` to kMaxSqlLength, ending it with "..." when cut.
+  static void TruncateSql(std::string* sql);
 
  private:
   mutable std::mutex mu_;
   size_t capacity_;
   std::deque<QueryLogEntry> ring_;
-  uint64_t next_id_ = 1;
+  uint64_t total_ = 0;
   uint64_t dropped_ = 0;
   uint64_t cleared_ = 0;
 };

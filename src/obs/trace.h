@@ -118,6 +118,40 @@ class Span {
   double start_us_ = 0;
 };
 
+/// RAII timing of one Figure-1 phase: one steady-clock read at each end.
+/// End() (or destruction) stores the elapsed microseconds in `*out_us`
+/// and, when `tracer` was enabled at construction, records the same
+/// interval as a "phase" span named `name` (a string literal).
+class PhaseTimer {
+ public:
+  PhaseTimer(Tracer* tracer, const char* name, double* out_us)
+      : tracer_(tracer != nullptr && tracer->enabled() ? tracer : nullptr),
+        name_(name),
+        out_us_(out_us),
+        start_us_(NowUs()) {}
+  ~PhaseTimer() { End(); }
+
+  PhaseTimer(const PhaseTimer&) = delete;
+  PhaseTimer& operator=(const PhaseTimer&) = delete;
+
+  /// Closes the phase now (idempotent).
+  void End() {
+    if (out_us_ == nullptr) return;
+    const double dur_us = NowUs() - start_us_;
+    *out_us_ = dur_us;
+    out_us_ = nullptr;
+    if (tracer_ != nullptr) {
+      tracer_->RecordSpan(name_, "phase", start_us_, dur_us);
+    }
+  }
+
+ private:
+  Tracer* tracer_;
+  const char* name_;
+  double* out_us_;
+  double start_us_;
+};
+
 /// Escapes `s` for embedding inside a JSON string literal.
 std::string JsonEscape(const std::string& s);
 

@@ -229,7 +229,9 @@ Result<ast::StatementPtr> Parser::ParseStatementInner() {
       } else if (MatchKeyword("G") || MatchKeyword("GB")) {
         unit = 1024 * 1024 * 1024;
       }
-      stmt->value *= unit;
+      if (__builtin_mul_overflow(stmt->value, unit, &stmt->value)) {
+        return Status::InvalidArgument(stmt->name + " value out of range");
+      }
     }
     return ast::StatementPtr(std::move(stmt));
   }

@@ -63,55 +63,61 @@ TEST(CancelTokenTest, ZeroDisarmsDeadline) {
 // StatementRegistry
 // ---------------------------------------------------------------------------
 
+/// A statement row as the engine registers it.
+obs::QueryLogEntry LiveRow(int64_t id, std::string sql, int64_t ts_us = 0) {
+  obs::QueryLogEntry row;
+  row.id = id;
+  row.sql = std::move(sql);
+  row.ts_us = ts_us;
+  row.phase = "parse";
+  return row;
+}
+
 TEST(StatementRegistryTest, RegisterFinishSnapshot) {
   StatementRegistry registry;
   CancelToken token;
-  registry.Register(1, "SELECT 1", 1000, &token);
+  obs::QueryLogEntry row = LiveRow(1, "SELECT 1", 1000);
+  registry.Register(row, &token);
   EXPECT_EQ(registry.live_count(), 1u);
-  registry.SetPhase(1, "execute");
+  row.phase = "execute";
+  row.priority = "low";
+  registry.Update(row);
 
-  std::vector<StatementSnapshot> live = registry.Snapshot();
+  std::vector<obs::QueryLogEntry> live = registry.Snapshot();
   ASSERT_EQ(live.size(), 1u);
+  EXPECT_EQ(live[0].id, 1);
   EXPECT_EQ(live[0].status, "running");
   EXPECT_EQ(live[0].phase, "execute");
-  EXPECT_EQ(live[0].start_ts_us, 1000);
+  EXPECT_EQ(live[0].priority, "low");
+  EXPECT_EQ(live[0].ts_us, 1000);
 
-  registry.Finish(1, "ok", 4096, 250);
+  // A finished statement leaves the registry; the query log keeps it.
+  registry.Finish(1);
   EXPECT_EQ(registry.live_count(), 0u);
-  std::vector<StatementSnapshot> done = registry.Snapshot();
-  ASSERT_EQ(done.size(), 1u);
-  EXPECT_EQ(done[0].status, "ok");
-  EXPECT_EQ(done[0].peak_memory_bytes, 4096u);
-  EXPECT_EQ(done[0].total_us, 250);
+  EXPECT_TRUE(registry.Snapshot().empty());
 }
 
 TEST(StatementRegistryTest, KillTripsTokenAndUnknownIdIsNotFound) {
   StatementRegistry registry;
   CancelToken token;
-  registry.Register(7, "SELECT 1", 0, &token);
+  registry.Register(LiveRow(7, "SELECT 1"), &token);
   EXPECT_EQ(registry.Kill(99).code(), StatusCode::kNotFound);
   EXPECT_TRUE(registry.Kill(7).ok());
   EXPECT_EQ(token.Check().code(), StatusCode::kCancelled);
-  registry.Finish(7, "cancelled", 0, 0);
+  registry.Finish(7);
   // Finished statements cannot be killed.
   EXPECT_EQ(registry.Kill(7).code(), StatusCode::kNotFound);
 }
 
-TEST(StatementRegistryTest, TruncatesLongSqlAndBoundsHistory) {
+TEST(StatementRegistryTest, TruncatesLongSql) {
   StatementRegistry registry;
-  registry.set_history_capacity(2);
   CancelToken token;
-  std::string long_sql(StatementRegistry::kMaxSqlLength + 100, 'X');
-  for (int64_t id = 1; id <= 4; ++id) {
-    registry.Register(id, long_sql, 0, &token);
-    registry.Finish(id, "ok", 0, 0);
-  }
-  std::vector<StatementSnapshot> snaps = registry.Snapshot();
-  ASSERT_EQ(snaps.size(), 2u);  // only the newest two retained
-  EXPECT_EQ(snaps[0].id, 3);
-  EXPECT_EQ(snaps[1].id, 4);
-  EXPECT_EQ(snaps[0].sql.size(), StatementRegistry::kMaxSqlLength);
-  EXPECT_EQ(snaps[0].sql.substr(StatementRegistry::kMaxSqlLength - 3), "...");
+  constexpr size_t kMax = obs::QueryLog::kMaxSqlLength;
+  registry.Register(LiveRow(1, std::string(kMax + 100, 'X')), &token);
+  std::vector<obs::QueryLogEntry> snaps = registry.Snapshot();
+  ASSERT_EQ(snaps.size(), 1u);
+  EXPECT_EQ(snaps[0].sql.size(), kMax);
+  EXPECT_EQ(snaps[0].sql.substr(kMax - 3), "...");
 }
 
 // ---------------------------------------------------------------------------
@@ -282,9 +288,9 @@ class GovernanceTest : public ::testing::Test {
   /// `needle`.
   std::string HistoryStatus(const std::string& needle) {
     std::string found;
-    for (const StatementSnapshot& s : db_.statement_registry().Snapshot()) {
-      if (s.status != "running" && s.sql.find(needle) != std::string::npos) {
-        found = s.status;  // keep the newest (history is oldest-first)
+    for (const obs::QueryLogEntry& e : db_.query_log().Snapshot()) {
+      if (e.sql.find(needle) != std::string::npos) {
+        found = e.status;  // keep the newest (the log is oldest-first)
       }
     }
     return found;
@@ -344,7 +350,7 @@ TEST_F(GovernanceTest, KillFromAnotherThreadCancelsPromptly) {
       // Find the running statement and kill it through SQL.
       int64_t victim = 0;
       for (int spin = 0; spin < 2000 && victim == 0; ++spin) {
-        for (const StatementSnapshot& s :
+        for (const obs::QueryLogEntry& s :
              db_.statement_registry().Snapshot()) {
           if (s.status == "running" &&
               s.sql.find(needle) != std::string::npos) {
@@ -473,7 +479,7 @@ TEST_F(GovernanceTest, ConcurrentMixedWorkloadWithKillerThread) {
 
   std::thread killer([&] {
     while (!stop.load()) {
-      for (const StatementSnapshot& s : db_.statement_registry().Snapshot()) {
+      for (const obs::QueryLogEntry& s : db_.statement_registry().Snapshot()) {
         if (s.status == "running" &&
             s.sql.find("COUNT(*)") != std::string::npos &&
             s.sql.find(", T B") != std::string::npos) {

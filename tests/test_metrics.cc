@@ -205,6 +205,7 @@ TEST(MetricsTest, QueryLogRingEvictsOldest) {
   obs::QueryLog log(3);
   for (int i = 0; i < 5; ++i) {
     obs::QueryLogEntry e;
+    e.id = 10 + i;
     e.sql = "Q" + std::to_string(i);
     log.Append(std::move(e));
   }
@@ -212,7 +213,7 @@ TEST(MetricsTest, QueryLogRingEvictsOldest) {
   ASSERT_EQ(snap.size(), 3u);
   EXPECT_EQ(snap[0].sql, "Q2");
   EXPECT_EQ(snap[2].sql, "Q4");
-  EXPECT_EQ(snap[0].id, 3u);  // ids stamp from 1 in append order
+  EXPECT_EQ(snap[0].id, 12);  // the log keeps the caller's ids
   EXPECT_EQ(log.total(), 5u);
   EXPECT_EQ(log.dropped(), 2u);
 }

@@ -529,7 +529,7 @@ TEST_F(SchedulerTest, KilledWhileQueuedSurfacesInSysMetrics) {
   std::thread worker([&] { r = db_.Execute(FastLookup()); });
   int64_t victim = 0;
   ASSERT_TRUE(SpinUntil([&] {
-    for (const StatementSnapshot& s : db_.statement_registry().Snapshot()) {
+    for (const obs::QueryLogEntry& s : db_.statement_registry().Snapshot()) {
       if (s.status == "running" && s.phase == std::string("queued")) {
         victim = s.id;
         return true;
@@ -573,6 +573,7 @@ TEST_F(SchedulerTest, QueueWaitDoesNotMakeAFastStatementSlow) {
   ASSERT_TRUE(e.has_value());
   EXPECT_GE(e->queue_us, 200000u);  // the wait is its own logged phase
   EXPECT_GT(e->total_us, e->queue_us);
+  EXPECT_LT(e->execute_us, e->queue_us);
   EXPECT_FALSE(e->slow) << "queue wait was billed as execution time";
 
   // A genuinely slow execution still trips the flag.

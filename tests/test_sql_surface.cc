@@ -305,6 +305,19 @@ TEST_F(SqlSurfaceTest, ErrorsCarryUsefulCodes) {
   EXPECT_EQ(last_error_.code(), StatusCode::kInvalidArgument);
 }
 
+TEST_F(SqlSurfaceTest, SetUnitSuffixOverflowIsOutOfRange) {
+  for (const char* value :
+       {"9223372036854775807 GB", "-9223372036854775807 KB"}) {
+    EXPECT_FALSE(Exec(std::string("SET SORT_MEMORY = ") + value)) << value;
+    EXPECT_EQ(last_error_.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(last_error_.message(), "SORT_MEMORY value out of range");
+  }
+  // The largest multiple of a GB that fits in 64 bits still sets.
+  ASSERT_TRUE(Exec("SET SORT_MEMORY = 8589934591 GB"));
+  EXPECT_EQ(last_.message(), "SET SORT_MEMORY = 9223372035781033984");
+  ASSERT_TRUE(Exec("SET SORT_MEMORY = DEFAULT"));
+}
+
 // --- update through views (§2) ---------------------------------------------
 
 TEST_F(SqlSurfaceTest, UpdateThroughViewWhenUnambiguous) {

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <fstream>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/database.h"
@@ -256,6 +258,173 @@ TEST_F(SystemTablesTest, MetricsDisabledPathSkipsBookkeeping) {
   db_.set_metrics_enabled(true);
   ASSERT_TRUE(Exec("SELECT a FROM t WHERE a = 2"));
   EXPECT_EQ(db_.query_log().total(), logged_before + 1);
+}
+
+TEST_F(SystemTablesTest, MetricNamesAndKindsArePinned) {
+  // Every metric sys.metrics serves, histograms flattened. A metric added,
+  // renamed or moved between counter and gauge must show up here.
+  const std::set<std::string> expected = {
+      "admission_aged_total counter",
+      "admission_budget_bytes gauge",
+      "admission_cancelled_while_queued_total counter",
+      "admission_high_admitted_total counter",
+      "admission_high_queued_total counter",
+      "admission_in_use_bytes gauge",
+      "admission_low_admitted_total counter",
+      "admission_low_queued_total counter",
+      "admission_normal_admitted_total counter",
+      "admission_normal_queued_total counter",
+      "admission_queued_total counter",
+      "admission_rejected_total counter",
+      "admission_timeouts_total counter",
+      "admission_waiting gauge",
+      "buffer_pool_cache_hits_total counter",
+      "buffer_pool_disk_reads_total counter",
+      "buffer_pool_disk_writes_total counter",
+      "buffer_pool_logical_reads_total counter",
+      "memory_query_peak_bytes gauge",
+      "memory_query_peak_max_bytes gauge",
+      "plan_cache_entries gauge",
+      "plan_cache_evictions_total counter",
+      "plan_cache_hits_total counter",
+      "plan_cache_invalidations_total counter",
+      "plan_cache_misses_total counter",
+      "queries_total counter",
+      "query_errors_total counter",
+      "query_latency_us_count histogram",
+      "query_latency_us_p50 histogram",
+      "query_latency_us_p95 histogram",
+      "query_latency_us_p99 histogram",
+      "query_latency_us_sum histogram",
+      "query_log_cleared_total counter",
+      "query_log_dropped_total counter",
+      "scheduler_preemptions_total counter",
+      "scheduler_tasks_run_total counter",
+      "scheduler_workers_spawned_total counter",
+      "slow_queries_total counter",
+      "spill_bytes_written_total counter",
+      "spill_files_created_total counter",
+      "spill_live_bytes gauge",
+      "spill_live_files gauge",
+      "statements_cancelled_total counter",
+      "statements_killed_total counter",
+      "statements_live gauge",
+      "statements_timed_out_total counter",
+  };
+  std::set<std::string> served;
+  for (const Row& r : MustQuery("SELECT name, kind FROM sys.metrics")) {
+    served.insert(r[0].string_value() + " " + r[1].string_value());
+  }
+  EXPECT_EQ(served, expected);
+}
+
+TEST_F(SystemTablesTest, ViewColumnsArePinned) {
+  // Each view's SELECT * columns in order, as name:TYPE with a trailing
+  // '?' on nullable columns.
+  const std::map<std::string, std::string> expected = {
+      {"sys.metrics", "name:STRING kind:STRING value:DOUBLE"},
+      {"sys.query_log",
+       "id:INT ts_us:INT sql:STRING status:STRING error:STRING? rows:INT "
+       "parse_us:INT bind_us:INT rewrite_us:INT optimize_us:INT "
+       "refine_us:INT execute_us:INT total_us:INT plan_cache_hit:INT "
+       "spill_bytes:INT peak_memory_bytes:INT parallelism:INT slow:INT "
+       "queue_us:INT priority:STRING class:STRING"},
+      {"sys.statements",
+       "id:INT sql:STRING status:STRING phase:STRING start_ts_us:INT "
+       "total_us:INT peak_memory_bytes:INT priority:STRING class:STRING "
+       "queue_us:INT"},
+      {"sys.plan_cache",
+       "position:INT sql:STRING num_params:INT cost:DOUBLE "
+       "cardinality:DOUBLE catalog_version:INT fresh:INT"},
+      {"sys.settings",
+       "name:STRING value:STRING default_value:STRING unit:STRING"},
+  };
+  for (const auto& [view, columns] : expected) {
+    Result<ResultSet> r = db_.Execute("SELECT * FROM " + view);
+    ASSERT_TRUE(r.ok()) << view << ": " << r.status().ToString();
+    Result<const TableDef*> def = db_.catalog().GetTable(view);
+    ASSERT_TRUE(def.ok()) << view;
+    const TableSchema& schema = (*def)->schema;
+    ASSERT_EQ(r->column_names().size(), schema.num_columns()) << view;
+    std::string served;
+    for (size_t i = 0; i < schema.num_columns(); ++i) {
+      const ColumnDef& c = schema.column(i);
+      served += (i > 0 ? " " : "") + r->column_names()[i] + ":" +
+                c.type.ToString() + (c.nullable ? "?" : "");
+    }
+    EXPECT_EQ(served, columns) << view;
+  }
+}
+
+TEST_F(SystemTablesTest, StatementsAndQueryLogShareIds) {
+  // A statement run with metrics off takes an id but writes no log
+  // entry; the ids of later statements must still agree in both views.
+  db_.set_metrics_enabled(false);
+  ASSERT_TRUE(Exec("SELECT a FROM t WHERE a = 1"));
+  db_.set_metrics_enabled(true);
+  ASSERT_TRUE(Exec("SELECT a FROM t WHERE a = 3"));
+  std::vector<Row> s = MustQuery(
+      "SELECT id FROM sys.statements WHERE sql = 'SELECT A FROM T WHERE A = 3'");
+  std::vector<Row> q = MustQuery(
+      "SELECT id FROM sys.query_log WHERE sql = 'SELECT A FROM T WHERE A = 3'");
+  ASSERT_EQ(s.size(), 1u);
+  ASSERT_EQ(q.size(), 1u);
+  EXPECT_EQ(s[0][0].int_value(), q[0][0].int_value());
+}
+
+TEST_F(SystemTablesTest, ConcurrentScansShowEachStatementOnce) {
+  // Two sessions must not execute one cached operator tree at once.
+  ASSERT_TRUE(Exec("SET PLAN_CACHE_SIZE = 0"));
+  constexpr int kStatements = 1000;
+  db_.query_log().set_capacity(4 * kStatements);  // nothing is evicted
+  std::atomic<int> finished{0};
+  std::thread worker([&] {
+    for (int i = 0; i < kStatements; ++i) {
+      EXPECT_TRUE(db_.Execute("SELECT b FROM t WHERE a = " +
+                              std::to_string(i % 5)).ok());
+      finished.fetch_add(1);
+    }
+  });
+  // Scan while the worker runs (at most one scan per worker statement).
+  for (int scan = 0; scan < kStatements && finished.load() < kStatements;
+       ++scan) {
+    const int finished_before = finished.load();
+    std::vector<Row> rows = MustQuery("SELECT id, sql FROM sys.statements");
+    std::set<int64_t> ids;
+    int worker_rows = 0;
+    for (const Row& r : rows) {
+      EXPECT_TRUE(ids.insert(r[0].int_value()).second)
+          << "statement " << r[0].int_value() << " listed twice";
+      if (r[1].string_value().rfind("SELECT B FROM T", 0) == 0) ++worker_rows;
+    }
+    // Every statement that finished before the scan began is listed.
+    EXPECT_GE(worker_rows, finished_before);
+  }
+  worker.join();
+}
+
+TEST_F(SystemTablesTest, FinishedStatementsKeepPhaseAndWorkload) {
+  // A plan classified slow, then statements that never classify: each
+  // finished row keeps its own workload labels and its last phase.
+  ASSERT_TRUE(Exec("SET SLOW_PLAN_COST = 0"));
+  ASSERT_TRUE(Exec("SELECT a FROM t WHERE a = 2"));
+  ASSERT_TRUE(Exec("SET SLOW_PLAN_COST = DEFAULT"));
+  EXPECT_FALSE(Exec("SELEC 1"));
+  std::vector<Row> rows = MustQuery(
+      "SELECT sql, phase, priority, class FROM sys.statements "
+      "WHERE status <> 'running' AND id > 2 ORDER BY id");
+  const std::vector<std::vector<std::string>> expected = {
+      {"SET SLOW_PLAN_COST = 0", "parse", "normal", "fast"},
+      {"SELECT A FROM T WHERE A = 2", "execute", "low", "slow"},
+      {"SET SLOW_PLAN_COST = DEFAULT", "parse", "normal", "fast"},
+      {"SELEC 1", "parse", "normal", "fast"},
+  };
+  ASSERT_EQ(rows.size(), expected.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (size_t c = 0; c < 4; ++c) {
+      EXPECT_EQ(rows[i][c].string_value(), expected[i][c]) << i << "," << c;
+    }
+  }
 }
 
 TEST_F(SystemTablesTest, RenderTextServesEngineMetrics) {
